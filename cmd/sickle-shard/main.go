@@ -8,10 +8,11 @@
 // dead backends and re-admits them when /healthz answers again.
 //
 // With -replication K (default 1), a keyed job submission's owner set is
-// its K ring successors: the submission is copied to all K owners and a
-// resubmitted key found anywhere in the set returns the existing job, so
-// keyed submissions are exactly-once-observable fleet-wide even across
-// an owner's death. Membership is elastic: replicas join (with
+// its K ring successors: the first runs the job, the others hold a
+// reservation that takes over only if the first dies, and a resubmitted
+// key found anywhere in the set returns the existing job, so keyed
+// submissions run once and are exactly-once-observable fleet-wide even
+// across an owner's death. Membership is elastic: replicas join (with
 // warm-cache model prefetch before taking traffic) and drain out (sticky
 // jobs bled to terminal states first) through the admin API on a live
 // router.

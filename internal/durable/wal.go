@@ -68,6 +68,12 @@ const (
 	// KindSubmit records a job's admission: ID, type, idempotency key,
 	// and the serialized submission payload recovery rebuilds it from.
 	KindSubmit Kind = "submit"
+	// KindReserve records a follower owner's reservation of a keyed job
+	// that runs on another replica: the Submit fields plus ReservedFor,
+	// the primary's job ID. A later Submit record with the same ID marks
+	// the reservation activated (a takeover); a Terminal record marks it
+	// settled with the primary's outcome.
+	KindReserve Kind = "reserve"
 	// KindStart records the pending→running transition.
 	KindStart Kind = "start"
 	// KindTerminal records the final state (and error, if any). The
@@ -79,33 +85,37 @@ const (
 // stage maps a record kind to its crash-point stage name.
 func stage(k Kind) string { return string(k) }
 
-// Record is one WAL entry. Submit carries Type/Key/Payload, terminal
-// carries State/Error; Time is the event time (created/started/finished).
+// Record is one WAL entry. Submit carries Type/Key/Payload, reserve adds
+// ReservedFor, terminal carries State/Error; Time is the event time
+// (created/started/finished).
 type Record struct {
-	Kind    Kind            `json:"kind"`
-	ID      string          `json:"id"`
-	Type    string          `json:"type,omitempty"`
-	Key     string          `json:"key,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-	State   string          `json:"state,omitempty"`
-	Error   *api.Error      `json:"error,omitempty"`
-	Time    time.Time       `json:"time"`
+	Kind        Kind            `json:"kind"`
+	ID          string          `json:"id"`
+	Type        string          `json:"type,omitempty"`
+	Key         string          `json:"key,omitempty"`
+	Payload     json.RawMessage `json:"payload,omitempty"`
+	ReservedFor string          `json:"reservedFor,omitempty"`
+	State       string          `json:"state,omitempty"`
+	Error       *api.Error      `json:"error,omitempty"`
+	Time        time.Time       `json:"time"`
 }
 
 // JobRecord is a job's state folded from its WAL records, in submission
 // order. State is api.JobPending if the job never started, api.JobRunning
 // if a start record was seen without a terminal one, else the terminal
-// state.
+// state. ReservedFor is set while the job is a follower's held copy (a
+// reservation never activated).
 type JobRecord struct {
-	ID       string
-	Type     api.JobType
-	Key      string
-	Payload  json.RawMessage
-	State    api.JobState
-	Err      *api.Error
-	Created  time.Time
-	Started  time.Time
-	Finished time.Time
+	ID          string
+	Type        api.JobType
+	Key         string
+	Payload     json.RawMessage
+	ReservedFor string
+	State       api.JobState
+	Err         *api.Error
+	Created     time.Time
+	Started     time.Time
+	Finished    time.Time
 }
 
 // Log is the write-ahead job log. Safe for concurrent use; each append
@@ -363,17 +373,22 @@ func reduce(recs []Record) []JobRecord {
 	for i := range recs {
 		r := &recs[i]
 		switch r.Kind {
-		case KindSubmit:
-			if _, ok := byID[r.ID]; ok {
+		case KindSubmit, KindReserve:
+			if j, ok := byID[r.ID]; ok {
+				// A submit over a reservation is its activation.
+				if r.Kind == KindSubmit && j.ReservedFor != "" && !j.State.Terminal() {
+					j.ReservedFor, j.Payload = "", r.Payload
+				}
 				continue
 			}
 			byID[r.ID] = &JobRecord{
-				ID:      r.ID,
-				Type:    api.JobType(r.Type),
-				Key:     r.Key,
-				Payload: r.Payload,
-				State:   api.JobPending,
-				Created: r.Time,
+				ID:          r.ID,
+				Type:        api.JobType(r.Type),
+				Key:         r.Key,
+				Payload:     r.Payload,
+				ReservedFor: r.ReservedFor,
+				State:       api.JobPending,
+				Created:     r.Time,
 			}
 			order = append(order, r.ID)
 		case KindStart:

@@ -221,3 +221,32 @@ func TestWALCompactionDropsUnreappended(t *testing.T) {
 		t.Fatalf("compaction kept %d jobs, want 0", len(recs3))
 	}
 }
+
+// TestWALReservationFold: a reserve record folds to a held job, a later
+// submit record under the same ID activates it, and a terminal record
+// settles it without clearing the mark.
+func TestWALReservationFold(t *testing.T) {
+	now := time.Now()
+	recs := reduce([]Record{
+		{Kind: KindReserve, ID: "job-1", Type: "subsample", Key: "k1", ReservedFor: "job-4@r0", Time: now},
+		{Kind: KindReserve, ID: "job-2", Type: "subsample", Key: "k2", ReservedFor: "job-5@r0", Time: now},
+		{Kind: KindReserve, ID: "job-3", Type: "subsample", Key: "k3", ReservedFor: "job-6@r0",
+			Payload: []byte(`{"reserveFor":"job-6@r0"}`), Time: now},
+		{Kind: KindTerminal, ID: "job-2", State: "succeeded", Time: now},
+		{Kind: KindSubmit, ID: "job-3", Type: "subsample", Key: "k3", Payload: []byte(`{}`), Time: now},
+		{Kind: KindSubmit, ID: "job-2", Type: "subsample", Key: "k2", Time: now},
+	})
+	if len(recs) != 3 {
+		t.Fatalf("folded %d jobs, want 3", len(recs))
+	}
+	held, settled, activated := recs[0], recs[1], recs[2]
+	if held.ReservedFor != "job-4@r0" || held.State != api.JobPending {
+		t.Fatalf("reservation folded wrong: %+v", held)
+	}
+	if settled.ReservedFor != "job-5@r0" || settled.State != api.JobSucceeded {
+		t.Fatalf("settled reservation folded wrong (a submit after the terminal must not activate it): %+v", settled)
+	}
+	if activated.ReservedFor != "" || string(activated.Payload) != `{}` || activated.State != api.JobPending {
+		t.Fatalf("activated reservation folded wrong: %+v", activated)
+	}
+}

@@ -37,6 +37,7 @@ const (
 	TypeRecovered   Type = "recovered"   // tier health returned to ok
 	TypeRecovery    Type = "recovery"    // a job was recovered from the WAL at startup
 	TypeDedupHit    Type = "dedup_hit"   // a duplicate submission was served from prior work
+	TypeTakeover    Type = "takeover"    // a follower's reservation was activated for a dead primary
 
 	TypeReplicaJoin  Type = "replica_join"  // a replica joined the ring via the admin API
 	TypeReplicaDrain Type = "replica_drain" // a replica began bleeding sticky jobs before removal

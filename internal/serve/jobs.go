@@ -55,17 +55,40 @@ type JobManager struct {
 	// as job_panic events); nil disables.
 	panicHook func(id string, typ api.JobType, traceID, msg string)
 
+	// execHook observes each runner invocation (the server counts them in
+	// sickle_jobs_executions_total); nil disables.
+	execHook func(typ api.JobType)
+
 	now func() time.Time // injectable clock (tests)
 }
 
 type jobEntry struct {
 	status api.Job
-	cancel context.CancelFunc
+	cancel context.CancelFunc // nil until the runner starts
 	result *api.JobResult
 	run    JobRunner
 	done   chan struct{} // closed when the job reaches a terminal state
 	tc     api.TraceContext
 	key    string // idempotency key, for byKey cleanup on purge
+}
+
+// reserved reports whether j is a follower's reservation: a held key for
+// a job running on another owner, never started here and not yet settled.
+func (j *jobEntry) reserved() bool {
+	return j.status.ReservedFor != "" && !j.status.State.Terminal()
+}
+
+// retiredAt reports when j stopped being live work here, for retention:
+// its finish time once terminal, its creation time while it is a
+// reservation (which does no work unless activated).
+func (j *jobEntry) retiredAt() (time.Time, bool) {
+	switch {
+	case j.status.State.Terminal():
+		return j.status.FinishedAt, true
+	case j.reserved():
+		return j.status.CreatedAt, true
+	}
+	return time.Time{}, false
 }
 
 // Job-manager defaults (overridable through Config).
@@ -114,6 +137,10 @@ func (jm *JobManager) SetPanicHook(h func(id string, typ api.JobType, traceID, m
 	jm.panicHook = h
 }
 
+// SetExecHook installs an observer called once per runner invocation.
+// Call before serving traffic (not synchronized with in-flight jobs).
+func (jm *JobManager) SetExecHook(h func(typ api.JobType)) { jm.execHook = h }
+
 // SetDurable attaches the write-ahead log and result store. onErr (may
 // be nil) observes append failures on start/terminal records — those
 // jobs still finish in memory; the WAL latches failed so the *next*
@@ -161,6 +188,10 @@ type SubmitOptions struct {
 	// Payload is the serialized SubmitJobRequest, written to the WAL so
 	// recovery can rebuild the runner after a restart.
 	Payload json.RawMessage
+	// ReserveFor, with Key, makes the submission a reservation held for
+	// the named primary job: admitted and logged, but not run (see
+	// api.SubmitJobRequest.ReserveFor).
+	ReserveFor string
 }
 
 // SubmitWith is SubmitTraced with idempotency and durability: the
@@ -170,6 +201,11 @@ type SubmitOptions struct {
 // gone, fsync refused) rejects the submission with a typed
 // api.CodeUnavailable error rather than accepting work that would
 // silently vanish in a crash.
+//
+// With opts.ReserveFor set the job is admitted as a reservation and not
+// run. A plain submission of a key held as a reservation activates it in
+// place (a takeover: the primary owner is gone) and reports a dedup hit,
+// since no new job was created.
 func (jm *JobManager) SubmitWith(ctx context.Context, typ api.JobType, run JobRunner, opts SubmitOptions) (api.Job, bool, error) {
 	tc, _ := api.TraceFrom(ctx)
 	jm.mu.Lock()
@@ -178,60 +214,110 @@ func (jm *JobManager) SubmitWith(ctx context.Context, typ api.JobType, run JobRu
 		return api.Job{}, false, errShuttingDown()
 	}
 	jm.purgeLocked()
+	var held *jobEntry
 	if opts.Key != "" {
 		if id, ok := jm.byKey[opts.Key]; ok {
 			if j, ok := jm.jobs[id]; ok {
-				return j.status, true, nil
+				if opts.ReserveFor != "" || !j.reserved() {
+					return j.status, true, nil
+				}
+				held = j
+			} else {
+				delete(jm.byKey, opts.Key) // job expired; key is free again
 			}
-			delete(jm.byKey, opts.Key) // job expired; key is free again
 		}
 	}
-	// Only live (non-terminal) jobs count against admission: retained
-	// finished jobs are history, not load, and counting them would turn
-	// maxJobs into a hard rate limit of maxJobs-per-TTL on an idle server.
-	active := 0
-	for _, j := range jm.jobs {
-		if !j.status.State.Terminal() {
-			active++
+	if opts.ReserveFor == "" {
+		// Only live jobs count against admission: retained finished jobs
+		// and reservations are history and held keys, not load, and
+		// counting them would turn maxJobs into a hard rate limit of
+		// maxJobs-per-TTL on an idle server.
+		active := 0
+		for _, j := range jm.jobs {
+			if _, retired := j.retiredAt(); !retired {
+				active++
+			}
+		}
+		if active >= jm.maxJobs {
+			return api.Job{}, false, api.Errorf(api.CodeOverloaded,
+				"serve: job queue full (%d active jobs)", active).WithRetryAfter(5)
 		}
 	}
-	if active >= jm.maxJobs {
-		return api.Job{}, false, api.Errorf(api.CodeOverloaded,
-			"serve: job queue full (%d active jobs)", active).WithRetryAfter(5)
+	j, kind := held, durable.KindSubmit
+	if j == nil {
+		jm.seq++
+		j = &jobEntry{
+			status: api.Job{
+				ID: fmt.Sprintf("job-%d", jm.seq), Type: typ, State: api.JobPending,
+				CreatedAt: jm.now(), IdempotencyKey: opts.Key, ReservedFor: opts.ReserveFor,
+			},
+			done: make(chan struct{}),
+			key:  opts.Key,
+		}
+		if opts.ReserveFor != "" {
+			kind = durable.KindReserve
+		}
 	}
-	jm.seq++
-	id := fmt.Sprintf("job-%d", jm.seq)
-	created := jm.now()
+	// A submit record under a reservation's ID is what tells recovery the
+	// reservation was activated.
 	if jm.wal != nil {
 		if err := jm.wal.Append(durable.Record{
-			Kind: durable.KindSubmit, ID: id, Type: string(typ),
-			Key: opts.Key, Payload: opts.Payload, Time: created,
+			Kind: kind, ID: j.status.ID, Type: string(j.status.Type), Key: opts.Key,
+			Payload: opts.Payload, ReservedFor: opts.ReserveFor, Time: j.status.CreatedAt,
 		}); err != nil {
 			return api.Job{}, false, err
 		}
 	}
-	jobCtx, cancel := context.WithCancel(jm.root)
-	if tc.TraceID != "" {
-		jobCtx = api.WithTrace(jobCtx, tc)
-	}
-	j := &jobEntry{
-		status: api.Job{
-			ID: id, Type: typ, State: api.JobPending, CreatedAt: created,
-			IdempotencyKey: opts.Key,
-		},
-		cancel: cancel,
-		run:    run,
-		done:   make(chan struct{}),
-		tc:     tc,
-		key:    opts.Key,
-	}
-	jm.jobs[id] = j
+	j.run, j.tc = run, tc
+	jm.jobs[j.status.ID] = j
 	if opts.Key != "" {
-		jm.byKey[opts.Key] = id
+		jm.byKey[opts.Key] = j.status.ID
 	}
+	if opts.ReserveFor == "" {
+		j.status.ReservedFor = ""
+		jm.startLocked(j)
+	}
+	return j.status, held != nil, nil
+}
+
+// startLocked launches j's runner under its own cancellable context,
+// carrying the submitter's trace. Callers hold jm.mu.
+func (jm *JobManager) startLocked(j *jobEntry) {
+	ctx, cancel := context.WithCancel(jm.root)
+	if j.tc.TraceID != "" {
+		ctx = api.WithTrace(ctx, j.tc)
+	}
+	j.cancel = cancel
 	jm.wg.Add(1)
-	go jm.execute(jobCtx, j)
-	return j.status, false, nil
+	go jm.execute(ctx, j)
+}
+
+// Settle replaces the reservation held under key with the primary's
+// terminal outcome, persisted as finish persists a job run here, so a
+// later read or takeover on this replica answers from the copy instead
+// of running the job again. A key already settled, or one this replica
+// runs itself, is left as it is. An unclaimed key answers job_not_found.
+func (jm *JobManager) Settle(key string, out api.Job, result *api.JobResult) (api.Job, error) {
+	if !out.State.Terminal() {
+		return api.Job{}, api.Errorf(api.CodeInvalidArgument,
+			"serve: settle needs a terminal state, got %q", out.State)
+	}
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	jm.purgeLocked()
+	j, ok := jm.jobs[jm.byKey[key]]
+	if !ok {
+		return api.Job{}, api.Errorf(api.CodeJobNotFound, "serve: no job under idempotency key %q", key)
+	}
+	if !j.reserved() {
+		return j.status, nil
+	}
+	j.status.State, j.status.Error, j.status.Progress = out.State, out.Error, out.Progress
+	j.status.StartedAt, j.status.FinishedAt = out.StartedAt, out.FinishedAt
+	j.result = result
+	jm.persistLocked(j)
+	close(j.done)
+	return j.status, nil
 }
 
 // Restore re-admits one job recovered from the WAL; call before serving
@@ -248,10 +334,8 @@ func (jm *JobManager) Restore(job api.Job, run JobRunner, result *api.JobResult)
 			jm.seq = n
 		}
 	}
-	jobCtx, cancel := context.WithCancel(jm.root)
 	j := &jobEntry{
 		status: job,
-		cancel: cancel,
 		run:    run,
 		done:   make(chan struct{}),
 		key:    job.IdempotencyKey,
@@ -260,17 +344,18 @@ func (jm *JobManager) Restore(job api.Job, run JobRunner, result *api.JobResult)
 	if job.IdempotencyKey != "" {
 		jm.byKey[job.IdempotencyKey] = job.ID
 	}
-	if job.State.Terminal() {
+	switch {
+	case job.State.Terminal():
 		j.result = result
 		close(j.done)
-		cancel()
-		return
+	case j.reserved():
+		// Still held for its primary: it runs only if activated.
+	default:
+		j.status.State = api.JobPending
+		j.status.Progress = api.JobProgress{}
+		j.status.StartedAt = time.Time{}
+		jm.startLocked(j)
 	}
-	j.status.State = api.JobPending
-	j.status.Progress = api.JobProgress{}
-	j.status.StartedAt = time.Time{}
-	jm.wg.Add(1)
-	go jm.execute(jobCtx, j)
 }
 
 // execute is the per-job goroutine: wait for a worker slot, run, finish.
@@ -303,6 +388,9 @@ func (jm *JobManager) execute(ctx context.Context, j *jobEntry) {
 		}
 	}
 	jm.mu.Unlock()
+	if jm.execHook != nil {
+		jm.execHook(j.status.Type)
+	}
 	progress := func(stage string, done, total int) {
 		jm.mu.Lock()
 		j.status.Progress = api.JobProgress{Stage: stage, Done: done, Total: total}
@@ -356,25 +444,10 @@ func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
 		j.status.State = api.JobFailed
 		j.status.Error = api.AsError(err)
 	}
-	// Persist the outcome — result blob first, then the terminal record,
-	// so a terminal WAL entry never promises a result that isn't on disk.
 	// Jobs interrupted by shutdown keep their non-terminal WAL state on
 	// purpose: a drained replica's in-flight jobs resume on restart.
-	if jm.wal != nil && !(jm.closed && j.status.State == api.JobCanceled) {
-		if j.status.State == api.JobSucceeded && j.result != nil {
-			if b, merr := json.Marshal(j.result); merr == nil {
-				if perr := jm.results.Put(j.status.ID, b); perr != nil {
-					jm.reportWALErr(perr)
-				}
-			}
-		}
-		if werr := jm.wal.Append(durable.Record{
-			Kind: durable.KindTerminal, ID: j.status.ID,
-			State: string(j.status.State), Error: j.status.Error,
-			Time: j.status.FinishedAt,
-		}); werr != nil {
-			jm.reportWALErr(werr)
-		}
+	if !(jm.closed && j.status.State == api.JobCanceled) {
+		jm.persistLocked(j)
 	}
 	close(j.done)
 	if j.tc.TraceID != "" {
@@ -390,29 +463,58 @@ func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
 	}
 }
 
-// purgeLocked drops terminal jobs older than the retention TTL and, if
-// history still outnumbers 4×maxJobs, the oldest terminal jobs beyond that
-// cap — memory stays bounded even under a submit storm faster than the
-// TTL. Callers hold jm.mu.
+// persistLocked writes a terminal job's outcome to the durable store —
+// result blob first, then the terminal record, so a terminal WAL entry
+// never promises a result that isn't on disk. Failures are reported, not
+// returned: the job is already terminal in memory. Callers hold jm.mu.
+func (jm *JobManager) persistLocked(j *jobEntry) {
+	if jm.wal == nil {
+		return
+	}
+	if j.status.State == api.JobSucceeded && j.result != nil {
+		if b, merr := json.Marshal(j.result); merr == nil {
+			if perr := jm.results.Put(j.status.ID, b); perr != nil {
+				jm.reportWALErr(perr)
+			}
+		}
+	}
+	if werr := jm.wal.Append(durable.Record{
+		Kind: durable.KindTerminal, ID: j.status.ID,
+		State: string(j.status.State), Error: j.status.Error,
+		Time: j.status.FinishedAt,
+	}); werr != nil {
+		jm.reportWALErr(werr)
+	}
+}
+
+// purgeLocked drops retired entries (terminal jobs and reservations, see
+// retiredAt) older than the retention TTL and, if they still outnumber
+// 4×maxJobs, the oldest beyond that cap — memory stays bounded even under
+// a submit storm faster than the TTL. A reservation outliving the TTL
+// means its primary's job ran longer than that; the key then loses its
+// takeover cover. Callers hold jm.mu.
 func (jm *JobManager) purgeLocked() {
 	cutoff := jm.now().Add(-jm.ttl)
-	var terminal []*jobEntry
+	type retired struct {
+		j  *jobEntry
+		at time.Time
+	}
+	var history []retired
 	for id, j := range jm.jobs {
-		if !j.status.State.Terminal() {
+		at, ok := j.retiredAt()
+		if !ok {
 			continue
 		}
-		if j.status.FinishedAt.Before(cutoff) {
+		if at.Before(cutoff) {
 			jm.dropLocked(id, j)
 			continue
 		}
-		terminal = append(terminal, j)
+		history = append(history, retired{j, at})
 	}
-	if excess := len(terminal) - 4*jm.maxJobs; excess > 0 {
-		sort.Slice(terminal, func(a, b int) bool {
-			return terminal[a].status.FinishedAt.Before(terminal[b].status.FinishedAt)
-		})
-		for _, j := range terminal[:excess] {
-			jm.dropLocked(j.status.ID, j)
+	if excess := len(history) - 4*jm.maxJobs; excess > 0 {
+		sort.Slice(history, func(a, b int) bool { return history[a].at.Before(history[b].at) })
+		for _, h := range history[:excess] {
+			jm.dropLocked(h.j.status.ID, h.j)
 		}
 	}
 }
@@ -461,7 +563,8 @@ func (jm *JobManager) GetByKey(key string) (api.Job, error) {
 	return api.Job{}, api.Errorf(api.CodeJobNotFound, "serve: no job under idempotency key %q", key)
 }
 
-// List returns every live job, oldest first.
+// List returns every live job, oldest first, held copies (reservations
+// and settled copies, marked by ReservedFor) included.
 func (jm *JobManager) List() []api.Job {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
@@ -507,10 +610,11 @@ func (jm *JobManager) Cancel(id string) (api.Job, error) {
 		jm.mu.Unlock()
 		return api.Job{}, api.Errorf(api.CodeJobNotFound, "serve: no job %q", id)
 	}
-	snapshot := j.status
+	snapshot, cancel := j.status, j.cancel
 	jm.mu.Unlock()
-	if !snapshot.State.Terminal() {
-		j.cancel()
+	// A reservation has nothing running to cancel; it stays held.
+	if !snapshot.State.Terminal() && cancel != nil {
+		cancel()
 	}
 	return snapshot, nil
 }
@@ -528,13 +632,16 @@ func (jm *JobManager) Done(id string) (<-chan struct{}, bool) {
 
 // Stats counts live jobs by state (rendered into /metrics and /healthz).
 // It purges first so the gauges agree with what Get/List would answer.
+// Held copies are left out: they stand for jobs counted on their primary.
 func (jm *JobManager) Stats() map[string]int {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	jm.purgeLocked()
 	out := map[string]int{}
 	for _, j := range jm.jobs {
-		out[string(j.status.State)]++
+		if j.status.ReservedFor == "" {
+			out[string(j.status.State)]++
+		}
 	}
 	return out
 }

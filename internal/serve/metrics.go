@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/pkg/api"
 )
 
 // batchSizeBuckets are the upper bounds of the micro-batch size histogram.
@@ -28,6 +29,7 @@ type Metrics struct {
 	batch    *obs.Histogram
 	inflight *obs.Gauge
 	rejected *obs.Counter
+	execs    *obs.CounterVec
 
 	mu         sync.Mutex
 	cacheBound bool
@@ -51,6 +53,8 @@ func NewMetrics() *Metrics {
 			"Requests currently being handled.").With(),
 		rejected: reg.Counter("sickle_rejected_requests_total",
 			"Requests refused at admission because a bounded queue was full.").With(),
+		execs: reg.Counter("sickle_jobs_executions_total",
+			"Job runner invocations on this replica, by job type; a reservation counts only once activated.", "type"),
 	}
 	obs.RegisterRuntime(reg)
 	return m
@@ -101,6 +105,16 @@ func (m *Metrics) ObserveRejected() {
 // RejectedTotal returns the cumulative backpressure rejections.
 func (m *Metrics) RejectedTotal() int64 {
 	return int64(m.rejected.Value())
+}
+
+// ObserveExecution counts one job runner invocation.
+func (m *Metrics) ObserveExecution(typ api.JobType) {
+	m.execs.With(string(typ)).Inc()
+}
+
+// ExecutionsTotal returns the runner invocations for one job type (tests).
+func (m *Metrics) ExecutionsTotal(typ api.JobType) int64 {
+	return int64(m.execs.With(string(typ)).Value())
 }
 
 // SetQueueDepthFunc installs the live queue-depth probe.

@@ -133,6 +133,7 @@ func NewServer(cfg Config) (*Server, error) {
 		start:   time.Now(),
 	}
 	met.SetJobStatsFunc(s.jobs.Stats)
+	s.jobs.SetExecHook(met.ObserveExecution)
 	s.batcher.SetTracer(s.tracer)
 	s.jobs.SetTracer(s.tracer)
 	s.jobs.SetPanicHook(func(id string, typ api.JobType, traceID, msg string) {
@@ -187,17 +188,25 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 		job := api.Job{
 			ID: rec.ID, Type: rec.Type, State: rec.State, Error: rec.Err,
 			CreatedAt: rec.Created, StartedAt: rec.Started, FinishedAt: rec.Finished,
-			IdempotencyKey: rec.Key,
+			IdempotencyKey: rec.Key, ReservedFor: rec.ReservedFor,
 		}
-		if rec.State.Terminal() && time.Since(rec.Finished) > ttl {
+		// A reservation expires like history, counted from its creation
+		// (see JobManager.purgeLocked).
+		expired := rec.State.Terminal() && time.Since(rec.Finished) > ttl ||
+			rec.ReservedFor != "" && !rec.State.Terminal() && time.Since(rec.Created) > ttl
+		if expired {
 			s.durable.Results.Delete(rec.ID)
 			wal.CountRecovered("dropped")
 			continue
 		}
 		reappendSubmit := func() {
+			kind := durable.KindSubmit
+			if rec.ReservedFor != "" {
+				kind = durable.KindReserve
+			}
 			wal.Append(durable.Record{
-				Kind: durable.KindSubmit, ID: rec.ID, Type: string(rec.Type),
-				Key: rec.Key, Payload: rec.Payload, Time: rec.Created,
+				Kind: kind, ID: rec.ID, Type: string(rec.Type), Key: rec.Key,
+				Payload: rec.Payload, ReservedFor: rec.ReservedFor, Time: rec.Created,
 			})
 		}
 		reappendTerminal := func(j api.Job) {
@@ -227,6 +236,15 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 				continue
 			}
 			// Fall through: recompute the lost result below.
+		}
+		if rec.ReservedFor != "" {
+			// A held copy never ran here: a reservation stays held, and a
+			// settled copy whose result was lost goes back to being one, to
+			// be settled again or activated.
+			job.State, job.Error, job.FinishedAt = api.JobPending, nil, time.Time{}
+			reappendSubmit()
+			restores = append(restores, restore{job: job, action: "reserved"})
+			continue
 		}
 		var req api.SubmitJobRequest
 		runner := JobRunner(nil)
@@ -341,6 +359,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v2/jobs/{id}", s.instrument("/v2/jobs/{id}", s.handleCancelJob))
 	mux.HandleFunc("GET /v2/jobs/{id}/result", s.instrument("/v2/jobs/{id}/result", s.handleJobResult))
 	mux.HandleFunc("GET /v2/keys/{key}", s.instrument("/v2/keys/{key}", s.handleGetJobByKey))
+	mux.HandleFunc("PUT /v2/keys/{key}", s.instrument("/v2/keys/{key}", s.handleSettleKey))
 
 	// Keep the "every v2 failure is a typed envelope" contract even for
 	// requests the method-qualified patterns above don't match: a generic
@@ -358,7 +377,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v2/subsample", s.instrument("/v2/subsample", methodNotAllowed("POST")))
 	mux.HandleFunc("/v2/models", s.instrument("/v2/models", methodNotAllowed("GET, POST")))
 	mux.HandleFunc("/v2/jobs", s.instrument("/v2/jobs", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/keys/{key}", s.instrument("/v2/keys/{key}", methodNotAllowed("GET")))
+	mux.HandleFunc("/v2/keys/{key}", s.instrument("/v2/keys/{key}", methodNotAllowed("GET, PUT")))
 	mux.HandleFunc("/v2/jobs/{id}", s.instrument("/v2/jobs/{id}", methodNotAllowed("GET, DELETE")))
 	mux.HandleFunc("/v2/jobs/{id}/result", s.instrument("/v2/jobs/{id}/result", methodNotAllowed("GET")))
 	mux.HandleFunc("/v2/", s.instrument("/v2/", func(w http.ResponseWriter, r *http.Request) error {
@@ -657,7 +676,10 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return writeAPIError(w, err)
 	}
-	opts := SubmitOptions{Key: req.IdempotencyKey}
+	if req.ReserveFor != "" && req.IdempotencyKey == "" {
+		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "a reservation needs an idempotency key"))
+	}
+	opts := SubmitOptions{Key: req.IdempotencyKey, ReserveFor: req.ReserveFor}
 	if s.durable != nil {
 		if b, merr := json.Marshal(&req); merr == nil {
 			opts.Payload = b
@@ -678,8 +700,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, http.StatusAccepted, job)
 }
 
+// handleListJobs lists the jobs this replica runs: held copies of keyed
+// jobs running elsewhere stay reachable by key and ID but are not listed.
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, s.jobs.List())
+	jobs := s.jobs.List()
+	own := jobs[:0]
+	for _, j := range jobs {
+		if j.ReservedFor == "" {
+			own = append(own, j)
+		}
+	}
+	return writeJSON(w, http.StatusOK, own)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) error {
@@ -700,6 +731,25 @@ func (s *Server) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error
 		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
 	job, err := s.jobs.GetByKey(key)
+	if err != nil {
+		return writeAPIError(w, err)
+	}
+	return writeJSON(w, http.StatusOK, job)
+}
+
+// handleSettleKey stores a keyed job's terminal outcome over this
+// replica's reservation for the key: the settle step a shard router runs
+// before it first returns the terminal state to a client.
+func (s *Server) handleSettleKey(w http.ResponseWriter, r *http.Request) error {
+	key, err := url.PathUnescape(r.PathValue("key"))
+	if err != nil {
+		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
+	}
+	var req api.SettleRequest
+	if err := decodeBody(r, &req); err != nil {
+		return writeAPIError(w, err)
+	}
+	job, err := s.jobs.Settle(key, req.Job, req.Result)
 	if err != nil {
 		return writeAPIError(w, err)
 	}

@@ -17,12 +17,13 @@ type ownerEntry struct {
 
 // ownerCache is the bounded sticky-routing memory behind job-ID fallback.
 // Job IDs normally carry their replica suffix (job-3@r1), so this cache is
-// only consulted for bare IDs and for the replicated-copy key lookup — a
+// only consulted for bare IDs and for the dead-primary key lookup — a
 // miss degrades to the legacy scatter, never to an error. It is a plain
 // LRU: Remember promotes, the least-recently-used entry falls off at cap,
-// and ForgetReplica drops every entry pointing at an ejected or removed
-// replica so the map cannot pin dead routing state (the unbounded map it
-// replaces kept entries for ejected replicas forever).
+// and ForgetReplica drops every entry pointing at a removed replica (an
+// ejected one keeps only its keyed entries, see ForgetUnkeyed) so the map
+// cannot pin dead routing state (the unbounded map it replaces kept
+// entries for ejected replicas forever).
 type ownerCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -45,9 +46,9 @@ func newOwnerCache(capacity int) *ownerCache {
 // under a different replica overwrites the old entry — the cache answers
 // "where did I last see this ID", not "every place it ever lived" — with
 // one exception: when both entries carry the same idempotency key they are
-// replicated copies of one logical job, and the first-remembered replica
-// (the one the client-facing ID suffix points at) is kept, so a copy seen
-// later in a fan-out or fleet listing cannot clobber the mapping the
+// copies of one logical job (a takeover, say), and the first-remembered
+// replica (the one the client-facing ID suffix points at) is kept, so a
+// copy seen later in a fleet listing cannot clobber the mapping the
 // dead-primary fallback depends on.
 func (oc *ownerCache) Remember(raw, replica, key string) {
 	oc.mu.Lock()
@@ -94,15 +95,22 @@ func (oc *ownerCache) Key(raw, replica string) string {
 	return ""
 }
 
-// ForgetReplica evicts every entry pointing at replica (ejection, drain,
-// removal) and reports how many it dropped.
-func (oc *ownerCache) ForgetReplica(replica string) int {
+// ForgetReplica evicts every entry pointing at replica (drain, removal)
+// and reports how many it dropped.
+func (oc *ownerCache) ForgetReplica(replica string) int { return oc.forget(replica, false) }
+
+// ForgetUnkeyed is ForgetReplica for an ejected replica: keyed entries
+// stay, because they are how a read of the dead replica's keyed job finds
+// the followers holding it.
+func (oc *ownerCache) ForgetUnkeyed(replica string) int { return oc.forget(replica, true) }
+
+func (oc *ownerCache) forget(replica string, keepKeyed bool) int {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
 	var dropped int
 	for el := oc.order.Front(); el != nil; {
 		next := el.Next()
-		if e := el.Value.(*ownerEntry); e.replica == replica {
+		if e := el.Value.(*ownerEntry); e.replica == replica && !(keepKeyed && e.key != "") {
 			delete(oc.entries, e.raw)
 			oc.order.Remove(el)
 			dropped++

@@ -61,9 +61,9 @@ func NewMetrics() *Metrics {
 		ownerDedupHits: reg.Counter("sickle_shard_owner_dedup_hits_total",
 			"Keyed resubmissions answered from a job already held by an owner-set member.").With(),
 		ownerReplications: reg.Counter("sickle_shard_owner_replications_total",
-			"Keyed submissions replicated to a non-primary owner, by replica.", "replica"),
+			"Reservations of keyed submissions placed on a non-primary owner, by replica.", "replica"),
 		ownerReplFailures: reg.Counter("sickle_shard_owner_replication_failures_total",
-			"Replication fan-out attempts that failed (the primary copy still exists).").With(),
+			"Reservation attempts that failed (the primary's job still exists).").With(),
 		rebalances: reg.Counter("sickle_shard_rebalances_total",
 			"Ring membership changes that moved keyspace ownership (joins and leaves).").With(),
 		rebalanceMovedShare: reg.Gauge("sickle_shard_rebalance_moved_share",
@@ -118,14 +118,14 @@ func (m *Metrics) ObserveOwnerDedupHit() {
 	m.ownerDedupHits.Inc()
 }
 
-// ObserveOwnerReplication counts one keyed submission copied to a
+// ObserveOwnerReplication counts one reservation placed on a
 // non-primary owner.
 func (m *Metrics) ObserveOwnerReplication(replica string) {
 	m.ownerReplications.With(replica).Inc()
 }
 
-// ObserveOwnerReplicationFailure counts one replication fan-out attempt
-// that failed (best-effort: the primary copy still exists).
+// ObserveOwnerReplicationFailure counts one reservation attempt that
+// failed (best-effort: the primary's job still exists).
 func (m *Metrics) ObserveOwnerReplicationFailure() {
 	m.ownerReplFailures.Inc()
 }

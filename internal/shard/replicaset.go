@@ -20,6 +20,7 @@ type Replica struct {
 	ID  string
 	URL string
 	C   *client.Client
+	hc  *http.Client
 
 	mu          sync.Mutex
 	up          bool
@@ -114,6 +115,10 @@ type ReplicaSet struct {
 	wg       sync.WaitGroup
 }
 
+// minProbeTimeout is the shortest deadline a health probe gets, however
+// short the probe period.
+const minProbeTimeout = 250 * time.Millisecond
+
 // NewReplicaSet builds the set with every seed replica initially admitted;
 // the first probe round corrects optimism about backends that are already
 // down. Seed replica IDs are r0, r1, ... in URL order; later joiners
@@ -128,10 +133,10 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 2
 	}
-	probeTimeout := cfg.ProbeEvery
-	if probeTimeout > 2*time.Second {
-		probeTimeout = 2 * time.Second
-	}
+	// A probe gets one period to answer, but at least minProbeTimeout: a
+	// tighter deadline ejects a replica that is only busy (a GC pause, a
+	// saturated host) when two probes in a row run late.
+	probeTimeout := min(max(cfg.ProbeEvery, minProbeTimeout), 2*time.Second)
 	rs := &ReplicaSet{
 		byID:         map[string]*Replica{},
 		former:       map[string]*Replica{},
@@ -181,6 +186,7 @@ func (rs *ReplicaSet) newReplica(id, url string) *Replica {
 		ID:  id,
 		URL: url,
 		C:   client.New(url, client.WithRetry(0, 0), client.WithHTTPClient(hc)),
+		hc:  hc,
 	}
 }
 
@@ -207,10 +213,15 @@ func (rs *ReplicaSet) Start() {
 	}()
 }
 
-// Stop halts the prober. Safe to call more than once.
+// Stop halts the prober and closes the pooled idle connections to the
+// members, which a backend's graceful shutdown would otherwise wait out.
+// Safe to call more than once.
 func (rs *ReplicaSet) Stop() {
 	rs.stopOnce.Do(func() { close(rs.stop) })
 	rs.wg.Wait()
+	for _, r := range rs.Replicas() {
+		r.hc.CloseIdleConnections()
+	}
 }
 
 // ProbeAll probes every member's /healthz concurrently and applies the

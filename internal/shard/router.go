@@ -61,19 +61,26 @@ type Router struct {
 	httpSrv *http.Server
 	start   time.Time
 
-	// replication is the owner-set size K: a keyed job submission fans out
-	// to the K distinct ring successors of its routing key, and a
-	// resubmitted key found on any of them is answered from the existing
-	// job instead of spawning a duplicate.
+	// replication is the owner-set size K: a keyed job submission runs on
+	// the first of the K distinct ring successors of its routing key (the
+	// primary) and is held as a reservation on the others (the
+	// followers); a resubmitted key found on any of them is answered from
+	// the existing job instead of spawning a duplicate.
 	replication int
 
 	// owners remembers raw downstream job ID → (replica, idempotency key):
 	// the fallback for clients that stripped the "@rN" suffix (the suffix
 	// itself is the authoritative stateless mapping, since raw IDs are only
 	// unique per replica), and the map that lets sticky reads re-find a
-	// keyed job's replicated copy when its replica dies. Bounded LRU;
-	// entries for ejected or removed replicas are evicted eagerly.
+	// keyed job on its followers when its replica dies. Bounded LRU; a
+	// removed replica's entries, and an ejected one's unkeyed entries, are
+	// evicted eagerly.
 	owners *ownerCache
+
+	// keys remembers, per idempotency key, the submission (to activate a
+	// reservation), the followers still to settle, and the highest state
+	// returned (so no client sees a keyed job move backwards).
+	keys *keyBook
 }
 
 // NewRouter builds a ready-to-listen router. Call Start to launch the
@@ -108,12 +115,13 @@ func NewRouter(cfg Config) (*Router, error) {
 		start:       time.Now(),
 		replication: cfg.Replication,
 		owners:      newOwnerCache(maxJobOwnerEntries),
+		keys:        newKeyBook(maxKeyRecords),
 	}
-	// A replica leaving the ring for health reasons takes its sticky-cache
-	// entries with it: the cache must never pin routing state at a dead
-	// replica (and unbounded growth from ejected members was how the old
-	// map leaked).
-	rs.OnEject(func(id string) { rt.owners.ForgetReplica(id) })
+	// A replica leaving the ring for health reasons takes its unkeyed
+	// sticky-cache entries with it: the cache must not pin routing state
+	// at a dead replica. Keyed entries stay so reads of its keyed jobs can
+	// fail over to their followers for as long as it is down.
+	rs.OnEject(func(id string) { rt.owners.ForgetUnkeyed(id) })
 	met.Registry().GaugeFunc("sickle_shard_owner_set_size",
 		"Members in each key's owner set: the replication factor, bounded by ring size.",
 		func() float64 {
@@ -563,46 +571,91 @@ func submitKey(req *api.SubmitJobRequest) string {
 	return string(req.Type)
 }
 
-// consultOwners checks every member of routeKey's owner set for a job
-// already holding idemKey (serially, in ring order — the nearest healthy
-// owner answers first). An unreachable owner counts against its health
-// and the walk moves on; an owner without the key is simply a miss.
-func (rt *Router) consultOwners(ctx context.Context, routeKey, idemKey string) (*api.Job, *Replica, bool) {
-	for _, rep := range rt.rs.Sequence(routeKey, rt.replication) {
-		job, err := rep.C.JobByKey(ctx, idemKey)
-		if err == nil {
-			rt.rs.NoteOK(rep)
+// resolveKey finds the job answering for idempotency key among cands,
+// asked in order (skip, a replica known to be down, is left out). The job
+// that runs the key (the primary's own, or a takeover) or a settled copy
+// answers at once. A bare reservation means the primary did not answer:
+// the primary the reservation names is asked directly, and failing that
+// the reservation is activated by resending the keyed submission (req,
+// else the one this router recorded), which makes it a runnable job on
+// its holder: a takeover. A key whose terminal state this router already
+// returned is never taken over, because its outcome exists on the
+// unreachable primary and running the job again could only answer "not
+// ready" to a client that has seen it finish.
+func (rt *Router) resolveKey(ctx context.Context, key string, cands []*Replica, skip *Replica,
+	req *api.SubmitJobRequest) (*api.Job, *Replica, bool) {
+	var held *api.Job
+	var holder *Replica
+	asked := map[*Replica]bool{skip: true}
+	for _, rep := range cands {
+		if asked[rep] {
+			continue
+		}
+		asked[rep] = true
+		job, err := rep.C.JobByKey(ctx, key)
+		if err != nil {
+			if api.AsError(err).Code == api.CodeUnavailable {
+				rt.met.ObserveFailed(rep.ID)
+				rt.rs.NoteFailure(rep, err)
+			}
+			continue
+		}
+		rt.rs.NoteOK(rep)
+		if job.ReservedFor == "" || job.State.Terminal() {
 			return job, rep, true
 		}
-		if api.AsError(err).Code == api.CodeUnavailable {
-			rt.met.ObserveFailed(rep.ID)
-			rt.rs.NoteFailure(rep, err)
+		if held == nil {
+			held, holder = job, rep
 		}
 	}
-	return nil, nil, false
+	if held == nil {
+		return nil, nil, false
+	}
+	if raw, prim, err := rt.jobReplica(held.ReservedFor); err == nil && !asked[prim] {
+		if job, err := prim.C.Job(ctx, raw); err == nil {
+			rt.rs.NoteOK(prim)
+			return job, prim, true
+		}
+	}
+	if req == nil {
+		req = rt.keys.Request(key)
+	}
+	if req == nil || rt.keys.Seen(key).State.Terminal() {
+		return nil, nil, false
+	}
+	job, err := holder.C.SubmitJob(ctx, req)
+	if err != nil {
+		return nil, nil, false
+	}
+	tc, _ := api.TraceFrom(ctx)
+	rt.journal.Emit(events.TypeTakeover, "follower reservation activated: the primary owner did not answer",
+		tc.TraceID, "replica", holder.ID, "job", job.ID, "primary", held.ReservedFor)
+	return job, holder, true
 }
 
-// replicate copies a keyed submission onto the remaining members of its
-// owner set, concurrently and best-effort: runners are deterministic and
-// results content-addressed, so a copy is just pre-positioned redundancy —
-// a fan-out failure loses nothing (the admitted primary copy exists) and
-// only costs the key its failover cover. Returns once every copy has been
-// admitted or failed, so a caller observing the submit response can rely
-// on the owner set being populated.
-func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.SubmitJobRequest, admitted *Replica) {
+// reserve places a reservation for a keyed submission, admitted by
+// primary as primaryID, on every other member of the key's owner set,
+// concurrently, and returns the members that hold one. A reservation is
+// logged but never run unless its holder takes over from a dead primary;
+// a member refusing one costs the key only its takeover cover there.
+func (rt *Router) reserve(ctx context.Context, routeKey string, req *api.SubmitJobRequest,
+	primary *Replica, primaryID string) []string {
 	if rt.replication <= 1 {
-		return
+		return nil
 	}
+	hold := *req
+	hold.ReserveFor = primaryID
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var ids []string
 	for _, rep := range rt.rs.Sequence(routeKey, rt.replication) {
-		if rep == admitted {
+		if rep == primary {
 			continue
 		}
 		wg.Add(1)
 		go func(rep *Replica) {
 			defer wg.Done()
-			out, err := rep.C.SubmitJob(ctx, req)
-			if err != nil {
+			if _, err := rep.C.SubmitJob(ctx, &hold); err != nil {
 				rt.met.ObserveOwnerReplicationFailure()
 				if api.AsError(err).Code == api.CodeUnavailable {
 					rt.rs.NoteFailure(rep, err)
@@ -611,10 +664,86 @@ func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.Submi
 			}
 			rt.rs.NoteOK(rep)
 			rt.met.ObserveOwnerReplication(rep.ID)
-			rt.rememberJob(out.ID, rep.ID, req.IdempotencyKey)
+			mu.Lock()
+			ids = append(ids, rep.ID)
+			mu.Unlock()
 		}(rep)
 	}
 	wg.Wait()
+	return ids
+}
+
+// settle copies a keyed job's terminal outcome from rep, where it ran,
+// onto the followers still holding a bare reservation for its key: the
+// terminal record, plus the result (res, or fetched from rep) when it
+// succeeded. Best-effort: followers it cannot reach stay on the list and
+// are retried on the next terminal read. When the router does not know
+// the followers, every other live replica is offered the outcome, and
+// those without the key decline it.
+func (rt *Router) settle(ctx context.Context, rep *Replica, raw string, job *api.Job, res *api.JobResult) {
+	key := job.IdempotencyKey
+	ids, known := rt.keys.Unsettled(key)
+	var targets []*Replica
+	if known {
+		for _, id := range ids {
+			if r, ok := rt.rs.Get(id); ok && r != rep {
+				targets = append(targets, r)
+			}
+		}
+	} else {
+		for _, r := range rt.rs.Live() {
+			if r != rep {
+				targets = append(targets, r)
+			}
+		}
+	}
+	if len(targets) == 0 {
+		rt.keys.SetUnsettled(key, nil)
+		return
+	}
+	out := &api.SettleRequest{Job: *job, Result: res}
+	if job.State == api.JobSucceeded && res == nil {
+		var err error
+		if out.Result, err = rep.C.JobResult(ctx, raw); err != nil {
+			return
+		}
+	}
+	var left []string
+	for _, r := range targets {
+		_, err := r.C.SettleKey(ctx, key, out)
+		if err == nil {
+			rt.rs.NoteOK(r)
+			continue
+		}
+		switch api.AsError(err).Code {
+		case api.CodeJobNotFound:
+			// Holds nothing for the key (never reserved, or expired).
+		case api.CodeUnavailable:
+			rt.rs.NoteFailure(r, err)
+			left = append(left, r.ID)
+		default:
+			left = append(left, r.ID)
+		}
+	}
+	rt.keys.SetUnsettled(key, left)
+}
+
+// answer turns a job snapshot read from rep into the router's reply. A
+// keyed job in a terminal state is settled onto its followers first (res,
+// when the caller already holds the result), and a keyed job's state is
+// clamped to the highest this router has returned for the key, so no
+// client sees it move backwards.
+func (rt *Router) answer(ctx context.Context, rep *Replica, job *api.Job, res *api.JobResult) *api.Job {
+	raw := job.ID
+	job.ID = raw + jobIDSep + rep.ID
+	if job.IdempotencyKey == "" {
+		return job
+	}
+	if job.State.Terminal() {
+		rt.settle(ctx, rep, raw, job, res)
+	}
+	out := rt.keys.Serve(job.IdempotencyKey, *job)
+	return &out
 }
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
@@ -622,6 +751,7 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	if err := decodeBody(r, &req); err != nil {
 		return writeAPIError(w, err)
 	}
+	req.ReserveFor = "" // the router's to set, never the client's
 	key := submitKey(&req)
 	// A keyed submission consults the full owner set before creating
 	// anything: after a failover the key's original job may live on any
@@ -629,15 +759,15 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	// answering from it is what keeps a resubmission from becoming a
 	// fleet-level duplicate.
 	if req.IdempotencyKey != "" {
-		if job, rep, ok := rt.consultOwners(r.Context(), key, req.IdempotencyKey); ok {
+		if job, rep, ok := rt.resolveKey(r.Context(), req.IdempotencyKey,
+			rt.rs.Sequence(key, rt.replication), nil, &req); ok {
 			rt.met.ObserveOwnerDedupHit()
 			tc, _ := api.TraceFrom(r.Context())
 			rt.journal.Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
 				tc.TraceID, "kind", "owner_set", "replica", rep.ID, "job", job.ID)
 			rt.rememberJob(job.ID, rep.ID, req.IdempotencyKey)
 			rt.met.ObserveRouted(rep.ID)
-			job.ID = job.ID + jobIDSep + rep.ID
-			return writeJSON(w, http.StatusOK, job)
+			return writeJSON(w, http.StatusOK, rt.answer(r.Context(), rep, job, nil))
 		}
 	}
 	// Unkeyed submissions never fail over on unavailable: the backend may
@@ -664,10 +794,9 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	}
 	rt.rememberJob(job.ID, rep.ID, req.IdempotencyKey)
 	if req.IdempotencyKey != "" {
-		rt.replicate(r.Context(), key, &req, rep)
+		rt.keys.Submitted(&req, rt.reserve(r.Context(), key, &req, rep, job.ID+jobIDSep+rep.ID))
 	}
-	job.ID = job.ID + jobIDSep + rep.ID
-	return writeJSON(w, http.StatusAccepted, job)
+	return writeJSON(w, http.StatusAccepted, rt.answer(r.Context(), rep, job, nil))
 }
 
 func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
@@ -696,51 +825,29 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 		}
 		return all[a].ID < all[b].ID
 	})
-	// Replicated copies of one keyed submission are one logical job: keep
-	// the oldest copy per key so the fleet listing counts work, not fan-out.
-	seenKey := map[string]bool{}
-	kept := all[:0]
-	for _, j := range all {
-		if k := j.IdempotencyKey; k != "" {
-			if seenKey[k] {
-				continue
-			}
-			seenKey[k] = true
-		}
-		kept = append(kept, j)
-	}
-	return writeJSON(w, http.StatusOK, kept)
+	return writeJSON(w, http.StatusOK, all)
 }
 
-// findReplicated re-finds a keyed job's copy on another owner after the
-// replica holding it became unreachable: the sticky cache yields the
-// idempotency key the job was submitted under (only while its entry still
-// names the dead replica — a stale entry must not redirect the read), and
-// a by-key scan of the live members locates a surviving copy.
+// findReplicated re-finds a keyed job on its followers after the replica
+// running it became unreachable: the sticky cache yields the idempotency
+// key the job was submitted under (only while its entry still names the
+// dead replica — a stale entry must not redirect the read), and a by-key
+// scan of the live members finds a settled copy or, failing that, takes
+// over through a reservation (see resolveKey).
 func (rt *Router) findReplicated(ctx context.Context, raw, deadID string) (*api.Job, *Replica, bool) {
 	key := rt.owners.Key(raw, deadID)
 	if key == "" {
 		return nil, nil, false
 	}
-	for _, rep := range rt.rs.Live() {
-		if rep.ID == deadID {
-			continue
-		}
-		job, err := rep.C.JobByKey(ctx, key)
-		if err != nil {
-			continue
-		}
-		rt.rs.NoteOK(rep)
-		return job, rep, true
-	}
-	return nil, nil, false
+	dead, _ := rt.rs.Get(deadID)
+	return rt.resolveKey(ctx, key, rt.rs.Live(), dead, nil)
 }
 
 // forwardJob forwards one sticky job call to the owning replica and
-// rewrites the returned snapshot's ID back to the client-facing form.
-// There is no general failover — the job state lives only there — but
-// when the replica is unreachable and the job was keyed-and-replicated,
-// the call is retried once against a surviving owner-set copy.
+// answers with the snapshot in client-facing form (see answer). There is
+// no general failover — the job state lives only there — but when the
+// replica is unreachable and the job was keyed, the call is retried once
+// against the job found on its followers.
 func (rt *Router) forwardJob(ctx context.Context, w http.ResponseWriter, id string,
 	call func(ctx context.Context, rep *Replica, raw string) (*api.Job, error)) error {
 	raw, rep, err := rt.jobReplica(id)
@@ -754,8 +861,7 @@ func (rt *Router) forwardJob(ctx context.Context, w http.ResponseWriter, id stri
 			if copyJob, copyRep, ok := rt.findReplicated(ctx, raw, rep.ID); ok {
 				if job2, err2 := call(ctx, copyRep, copyJob.ID); err2 == nil {
 					rt.met.ObserveRouted(copyRep.ID)
-					job2.ID = job2.ID + jobIDSep + copyRep.ID
-					return writeJSON(w, http.StatusOK, job2)
+					return writeJSON(w, http.StatusOK, rt.answer(ctx, copyRep, job2, nil))
 				}
 			}
 		}
@@ -763,8 +869,7 @@ func (rt *Router) forwardJob(ctx context.Context, w http.ResponseWriter, id stri
 	}
 	rt.rs.NoteOK(rep)
 	rt.met.ObserveRouted(rep.ID)
-	job.ID = job.ID + jobIDSep + rep.ID
-	return writeJSON(w, http.StatusOK, job)
+	return writeJSON(w, http.StatusOK, rt.answer(ctx, rep, job, nil))
 }
 
 func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) error {
@@ -786,6 +891,7 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return writeAPIError(w, err)
 	}
+	key := rt.owners.Key(raw, rep.ID)
 	res, err := rep.C.JobResult(r.Context(), raw)
 	if err != nil {
 		if api.AsError(err).Code == api.CodeUnavailable {
@@ -797,10 +903,34 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 				}
 			}
 		}
+		// Once this router has returned succeeded for the key, the result
+		// must not turn "not ready" because the replica asked is down or
+		// running the job again (a takeover, or its own re-run after a
+		// restart): fetch it where the succeeded answer came from, and
+		// failing that answer unavailable.
+		if key != "" {
+			if seen := rt.keys.Seen(key); seen.State == api.JobSucceeded {
+				if sraw, srep, serr := rt.jobReplica(seen.ID); serr == nil {
+					if res2, err2 := srep.C.JobResult(r.Context(), sraw); err2 == nil {
+						rt.met.ObserveRouted(srep.ID)
+						return writeJSON(w, http.StatusOK, res2)
+					}
+				}
+				err = api.Errorf(api.CodeUnavailable,
+					"shard: job %s succeeded, but no replica holding its result answers", seen.ID)
+			}
+		}
 		return writeAPIError(w, err)
 	}
 	rt.rs.NoteOK(rep)
 	rt.met.ObserveRouted(rep.ID)
+	// A result read before any terminal status read is the key's first
+	// terminal answer: settle it with the result in hand.
+	if key != "" && !rt.keys.Seen(key).State.Terminal() {
+		if job, err := rep.C.Job(r.Context(), raw); err == nil {
+			rt.answer(r.Context(), rep, job, res)
+		}
+	}
 	return writeJSON(w, http.StatusOK, res)
 }
 
@@ -812,21 +942,13 @@ func (rt *Router) handleGetJobByKey(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
-	for _, rep := range rt.rs.Live() {
-		job, jerr := rep.C.JobByKey(r.Context(), key)
-		if jerr != nil {
-			if api.AsError(jerr).Code == api.CodeUnavailable {
-				rt.rs.NoteFailure(rep, jerr)
-			}
-			continue
-		}
-		rt.rs.NoteOK(rep)
-		rt.met.ObserveRouted(rep.ID)
-		rt.rememberJob(job.ID, rep.ID, key)
-		job.ID = job.ID + jobIDSep + rep.ID
-		return writeJSON(w, http.StatusOK, job)
+	job, rep, ok := rt.resolveKey(r.Context(), key, rt.rs.Live(), nil, nil)
+	if !ok {
+		return writeAPIError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
 	}
-	return writeAPIError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
+	rt.met.ObserveRouted(rep.ID)
+	rt.rememberJob(job.ID, rep.ID, key)
+	return writeJSON(w, http.StatusOK, rt.answer(r.Context(), rep, job, nil))
 }
 
 // ---- membership admin API ----

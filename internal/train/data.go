@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/sampling"
@@ -52,6 +53,27 @@ func SplitTrainTest(ex []Example, testFrac float64, seed int64) (trainSet, testS
 	return
 }
 
+// seriesByCube groups samples by cube ID, keeping each cube's samples in
+// input order, and returns the groups in ascending cube ID order so the
+// examples built from them (and the train/test split over those) are the
+// same on every run.
+func seriesByCube(cubes []sampling.CubeSample) [][]sampling.CubeSample {
+	byCube := map[int][]sampling.CubeSample{}
+	for _, cs := range cubes {
+		byCube[cs.Cube.ID] = append(byCube[cs.Cube.ID], cs)
+	}
+	ids := make([]int, 0, len(byCube))
+	for id := range byCube {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	out := make([][]sampling.CubeSample, len(ids))
+	for i, id := range ids {
+		out[i] = byCube[id]
+	}
+	return out
+}
+
 // BuildSampleFull converts subsampled cubes into sample-full examples for
 // the MLP-Transformer: input = the cube's sampled points over a window of
 // snapshots [T, N, C]; target = the dense cube of output variables at the
@@ -61,12 +83,8 @@ func BuildSampleFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) (
 	if window <= 0 {
 		window = 1
 	}
-	byCube := map[int][]sampling.CubeSample{}
-	for _, cs := range cubes {
-		byCube[cs.Cube.ID] = append(byCube[cs.Cube.ID], cs)
-	}
 	var out []Example
-	for _, series := range byCube {
+	for _, series := range seriesByCube(cubes) {
 		for start := 0; start+window <= len(series); start++ {
 			win := series[start : start+window]
 			n := len(win[0].Features)
@@ -114,12 +132,8 @@ func BuildFullFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]
 	if window <= 0 {
 		window = 1
 	}
-	byCube := map[int][]sampling.CubeSample{}
-	for _, cs := range cubes {
-		byCube[cs.Cube.ID] = append(byCube[cs.Cube.ID], cs)
-	}
 	var out []Example
-	for _, series := range byCube {
+	for _, series := range seriesByCube(cubes) {
 		for start := 0; start+window <= len(series); start++ {
 			win := series[start : start+window]
 			g := win[0].Cube.Sx

@@ -312,3 +312,68 @@ func TestTrainCancelBetweenEpochs(t *testing.T) {
 		t.Fatalf("progress epochs = %v; training did not stop after the canceling epoch", epochs)
 	}
 }
+
+// TestBuildSampleFullDeterministic: building examples from one spec and
+// seed must give the same examples in the same order every time, and so
+// the same train/test split and final loss. A job re-run after a crash or
+// an owner-set takeover relies on this to reproduce the first result.
+func TestBuildSampleFullDeterministic(t *testing.T) {
+	var inVars, outVars int
+	build := func() []Example {
+		d := cfd3d.EvolveDataset("SST-P1F4-mini", 2, 1, cfd3d.Config{N: 16, Seed: 11})
+		cubes, err := sampling.SubsampleDataset(context.Background(), d, sampling.PipelineConfig{
+			Hypercubes: "random", Method: "maxent", NumHypercubes: 8, NumSamples: 24,
+			CubeSx: 8, CubeSy: 8, CubeSz: 8, NumClusters: 4, Seed: 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := BuildSampleFull(d, cubes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inVars, outVars = len(d.InputVars), len(d.OutputVars)
+		return ex
+	}
+	same := func(a, b *tensor.Tensor) bool {
+		if len(a.Data) != len(b.Data) {
+			return false
+		}
+		for i := range a.Data {
+			if a.Data[i] != b.Data[i] {
+				return false
+			}
+		}
+		return true
+	}
+	lossOf := func(ex []Example) float64 {
+		factory := func(rng *rand.Rand) Model { return NewMLPTransformer(rng, inVars, 8, 2, outVars, 8) }
+		_, hist, err := Train(context.Background(), factory, ex, Config{Epochs: 2, Batch: 4, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hist.FinalLoss
+	}
+
+	first := build()
+	if len(first) != 16 {
+		t.Fatalf("built %d examples, want 16 (8 cubes x 2 snapshots)", len(first))
+	}
+	wantLoss := lossOf(first)
+	// Several rebuilds: a map-ordered build matches the first one by
+	// chance far too rarely to pass them all.
+	for run := 1; run <= 4; run++ {
+		ex := build()
+		if len(ex) != len(first) {
+			t.Fatalf("rebuild %d: %d examples, want %d", run, len(ex), len(first))
+		}
+		for i := range ex {
+			if !same(ex[i].Input, first[i].Input) || !same(ex[i].Target, first[i].Target) {
+				t.Fatalf("rebuild %d: example %d differs from the first build", run, i)
+			}
+		}
+		if loss := lossOf(ex); loss != wantLoss {
+			t.Fatalf("rebuild %d: final loss %v, first build %v", run, loss, wantLoss)
+		}
+	}
+}

@@ -43,6 +43,14 @@ type SubmitJobRequest struct {
 	IdempotencyKey string            `json:"idempotencyKey,omitempty"`
 	Subsample      *SubsampleRequest `json:"subsample,omitempty"`
 	Train          *TrainJobSpec     `json:"train,omitempty"`
+
+	// ReserveFor is set by a shard router, never by clients, on the
+	// copies of a keyed submission it sends to the key's follower
+	// owners. It names the primary's client-facing job ID; the follower
+	// then holds the key as a reservation instead of running the job.
+	// A later submission of the same key without ReserveFor activates
+	// the reservation into a runnable job (a takeover).
+	ReserveFor string `json:"reserveFor,omitempty"`
 }
 
 // NewIdempotencyKey mints a random 128-bit idempotency key.
@@ -89,6 +97,21 @@ type Job struct {
 	// IdempotencyKey echoes the submission's key, so a retrying caller
 	// can tell it was deduplicated onto an existing job.
 	IdempotencyKey string `json:"idempotencyKey,omitempty"`
+
+	// ReservedFor marks a follower's held copy of a keyed job that runs
+	// elsewhere: a reservation (pending, never executed) or, once the
+	// outcome has been settled onto it, a terminal copy. It names the
+	// primary's client-facing job ID. Held copies are left out of
+	// GET /v2/jobs listings and job-state counts.
+	ReservedFor string `json:"reservedFor,omitempty"`
+}
+
+// SettleRequest is the body of PUT /v2/keys/{key}, sent by a shard router
+// to a follower owner: it replaces the follower's reservation for the key
+// with the primary's terminal outcome. Result is set for succeeded jobs.
+type SettleRequest struct {
+	Job    Job        `json:"job"`
+	Result *JobResult `json:"result,omitempty"`
 }
 
 // JobResult is the body of GET /v2/jobs/{id}/result; the field matching

@@ -60,6 +60,18 @@ func (c *Client) JobByKey(ctx context.Context, key string) (*api.Job, error) {
 	return &out, nil
 }
 
+// SettleKey stores a keyed job's terminal outcome on a replica holding
+// the key's reservation (PUT /v2/keys/{key}) and returns the replica's
+// settled copy. A shard router calls it; an unclaimed key answers a typed
+// job_not_found.
+func (c *Client) SettleKey(ctx context.Context, key string, req *api.SettleRequest) (*api.Job, error) {
+	var out api.Job
+	if err := c.doVersioned(ctx, http.MethodPut, "/keys/"+url.PathEscape(key), req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
 // Jobs lists all live jobs (GET /v2/jobs).
 func (c *Client) Jobs(ctx context.Context) ([]api.Job, error) {
 	var out []api.Job
