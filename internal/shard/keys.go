@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/pkg/api"
@@ -15,7 +14,6 @@ const maxKeyRecords = 8192
 
 // keyRecord is what the router remembers about one idempotency key.
 type keyRecord struct {
-	key string
 	// req is the keyed submission as the client sent it, resent to a
 	// follower to activate its reservation; nil if this router never saw
 	// the submission.
@@ -28,41 +26,50 @@ type keyRecord struct {
 	seen api.Job
 }
 
-// keyBook is a bounded LRU of keyRecords, safe for concurrent use.
+// keyBook is a bounded LRU of keyRecords, safe for concurrent use. The
+// router keeps one only at replication K≥2, where keyed jobs have
+// followers. Lookups never insert; only what the router submits or
+// returns does.
 type keyBook struct {
-	mu    sync.Mutex
-	cap   int
-	recs  map[string]*list.Element // key → element whose Value is *keyRecord
-	order *list.List               // front = most recently used
+	mu   sync.Mutex
+	recs *boundedLRU[string, *keyRecord]
 }
 
 func newKeyBook(capacity int) *keyBook {
-	return &keyBook{cap: capacity, recs: map[string]*list.Element{}, order: list.New()}
+	return &keyBook{recs: newBoundedLRU[string, *keyRecord](capacity)}
 }
 
-// recLocked returns key's record, creating it (and evicting the least
-// recently used one past the cap) if needed. Callers hold kb.mu.
-func (kb *keyBook) recLocked(key string) *keyRecord {
-	if el, ok := kb.recs[key]; ok {
-		kb.order.MoveToFront(el)
-		return el.Value.(*keyRecord)
+// lookup returns key's record, or the zero record if there is none.
+// Callers hold kb.mu.
+func (kb *keyBook) lookup(key string) keyRecord {
+	if rec, ok := kb.recs.get(key); ok {
+		return *rec
 	}
-	rec := &keyRecord{key: key}
-	kb.recs[key] = kb.order.PushFront(rec)
-	for kb.order.Len() > kb.cap {
-		back := kb.order.Back()
-		delete(kb.recs, back.Value.(*keyRecord).key)
-		kb.order.Remove(back)
+	return keyRecord{}
+}
+
+// recLocked returns key's record, creating it if needed. Callers hold
+// kb.mu.
+func (kb *keyBook) recLocked(key string) *keyRecord {
+	rec, ok := kb.recs.get(key)
+	if !ok {
+		rec = &keyRecord{}
+		kb.recs.put(key, rec)
 	}
 	return rec
 }
 
-// Submitted records a keyed submission and the followers that took a
-// reservation for it.
-func (kb *keyBook) Submitted(req *api.SubmitJobRequest, followers []string) {
+// Submitted records a keyed submission admitted as jobID and the
+// followers that took a reservation for it. A job other than the one
+// last returned for the key (the key's earlier job expired and the key
+// was reused) starts the key's record afresh.
+func (kb *keyBook) Submitted(req *api.SubmitJobRequest, jobID string, followers []string) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
 	rec := kb.recLocked(req.IdempotencyKey)
+	if rec.seen.ID != jobID {
+		rec.seen = api.Job{}
+	}
 	rec.req, rec.unsettled, rec.known = req, followers, true
 }
 
@@ -70,7 +77,7 @@ func (kb *keyBook) Submitted(req *api.SubmitJobRequest, followers []string) {
 func (kb *keyBook) Request(key string) *api.SubmitJobRequest {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	return kb.recLocked(key).req
+	return kb.lookup(key).req
 }
 
 // Unsettled returns the followers still awaiting key's outcome; known is
@@ -78,7 +85,7 @@ func (kb *keyBook) Request(key string) *api.SubmitJobRequest {
 func (kb *keyBook) Unsettled(key string) (ids []string, known bool) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	rec := kb.recLocked(key)
+	rec := kb.lookup(key)
 	return append([]string(nil), rec.unsettled...), rec.known
 }
 
@@ -95,7 +102,7 @@ func (kb *keyBook) SetUnsettled(key string, ids []string) {
 func (kb *keyBook) Seen(key string) api.Job {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	return kb.recLocked(key).seen
+	return kb.lookup(key).seen
 }
 
 // Serve returns the snapshot to answer for key given job, the one just

@@ -5,12 +5,71 @@ import (
 	"sync"
 )
 
-// ownerEntry is one remembered routing decision: raw job ID → the replica
-// holding it, plus the idempotency key it was submitted under (empty for
+// boundedLRU is a map holding at most cap entries: a put past the cap
+// drops the least recently used one. It does no locking; its owner does.
+type boundedLRU[K comparable, V any] struct {
+	cap   int
+	items map[K]*list.Element // key → element whose Value is *lruItem[K, V]
+	order *list.List          // front = most recently used
+}
+
+type lruItem[K comparable, V any] struct {
+	key K
+	val V
+}
+
+func newBoundedLRU[K comparable, V any](capacity int) *boundedLRU[K, V] {
+	return &boundedLRU[K, V]{cap: capacity, items: map[K]*list.Element{}, order: list.New()}
+}
+
+// get returns k's value, promoting it; it never inserts.
+func (c *boundedLRU[K, V]) get(k K) (V, bool) {
+	el, ok := c.items[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*lruItem[K, V]).val, true
+}
+
+// put sets k's value, promoting it, and evicts past the cap.
+func (c *boundedLRU[K, V]) put(k K, v V) {
+	if el, ok := c.items[k]; ok {
+		el.Value.(*lruItem[K, V]).val = v
+		c.order.MoveToFront(el)
+		return
+	}
+	c.items[k] = c.order.PushFront(&lruItem[K, V]{key: k, val: v})
+	for c.order.Len() > c.cap {
+		back := c.order.Back()
+		delete(c.items, back.Value.(*lruItem[K, V]).key)
+		c.order.Remove(back)
+	}
+}
+
+// removeIf drops every entry drop selects and reports how many.
+func (c *boundedLRU[K, V]) removeIf(drop func(K, V) bool) int {
+	var n int
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if it := el.Value.(*lruItem[K, V]); drop(it.key, it.val) {
+			delete(c.items, it.key)
+			c.order.Remove(el)
+			n++
+		}
+		el = next
+	}
+	return n
+}
+
+func (c *boundedLRU[K, V]) len() int { return c.order.Len() }
+
+// ownerEntry is one remembered routing decision: the replica holding a
+// raw job ID, plus the idempotency key it was submitted under (empty for
 // unkeyed jobs). The key is what lets the router re-find a replicated
 // keyed job on the surviving owners after its primary dies.
 type ownerEntry struct {
-	raw     string
 	replica string
 	key     string
 }
@@ -26,20 +85,14 @@ type ownerEntry struct {
 // entries for ejected replicas forever).
 type ownerCache struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element // raw ID → element whose Value is *ownerEntry
-	order   *list.List               // front = most recently used
+	entries *boundedLRU[string, ownerEntry] // raw ID → entry
 }
 
 func newOwnerCache(capacity int) *ownerCache {
 	if capacity <= 0 {
 		capacity = maxJobOwnerEntries
 	}
-	return &ownerCache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-	}
+	return &ownerCache{entries: newBoundedLRU[string, ownerEntry](capacity)}
 }
 
 // Remember records (or refreshes) raw → replica. A raw ID resubmitted
@@ -53,32 +106,19 @@ func newOwnerCache(capacity int) *ownerCache {
 func (oc *ownerCache) Remember(raw, replica, key string) {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	if el, ok := oc.entries[raw]; ok {
-		e := el.Value.(*ownerEntry)
-		if e.key == "" || e.key != key {
-			e.replica, e.key = replica, key
-		}
-		oc.order.MoveToFront(el)
-		return
+	e, ok := oc.entries.get(raw)
+	if !ok || e.key == "" || e.key != key {
+		e = ownerEntry{replica: replica, key: key}
 	}
-	oc.entries[raw] = oc.order.PushFront(&ownerEntry{raw: raw, replica: replica, key: key})
-	for oc.order.Len() > oc.cap {
-		back := oc.order.Back()
-		delete(oc.entries, back.Value.(*ownerEntry).raw)
-		oc.order.Remove(back)
-	}
+	oc.entries.put(raw, e)
 }
 
 // Resolve answers which replica last held raw, promoting the entry.
 func (oc *ownerCache) Resolve(raw string) (string, bool) {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	el, ok := oc.entries[raw]
-	if !ok {
-		return "", false
-	}
-	oc.order.MoveToFront(el)
-	return el.Value.(*ownerEntry).replica, true
+	e, ok := oc.entries.get(raw)
+	return e.replica, ok
 }
 
 // Key returns the idempotency key raw was submitted under, but only if the
@@ -87,10 +127,8 @@ func (oc *ownerCache) Resolve(raw string) (string, bool) {
 func (oc *ownerCache) Key(raw, replica string) string {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	if el, ok := oc.entries[raw]; ok {
-		if e := el.Value.(*ownerEntry); e.replica == replica {
-			return e.key
-		}
+	if e, ok := oc.entries.get(raw); ok && e.replica == replica {
+		return e.key
 	}
 	return ""
 }
@@ -107,22 +145,14 @@ func (oc *ownerCache) ForgetUnkeyed(replica string) int { return oc.forget(repli
 func (oc *ownerCache) forget(replica string, keepKeyed bool) int {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	var dropped int
-	for el := oc.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*ownerEntry); e.replica == replica && !(keepKeyed && e.key != "") {
-			delete(oc.entries, e.raw)
-			oc.order.Remove(el)
-			dropped++
-		}
-		el = next
-	}
-	return dropped
+	return oc.entries.removeIf(func(_ string, e ownerEntry) bool {
+		return e.replica == replica && !(keepKeyed && e.key != "")
+	})
 }
 
 // Len reports the current entry count.
 func (oc *ownerCache) Len() int {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	return oc.order.Len()
+	return oc.entries.len()
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,5 +277,190 @@ func observeJob(ctx context.Context, c *client.Client, sub *api.SubsampleRequest
 			return fmt.Errorf("result after succeeded: %w", err)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShardKeyReusedAfterExpiry: once a keyed job has expired on its
+// owners (the job TTL), a resubmission of the key through the router is
+// a new job: the client gets the new job's ID and result, and a result
+// read of the expired job's ID answers job_not_found.
+func TestShardKeyReusedAfterExpiry(t *testing.T) {
+	ctx := context.Background()
+	const ttl = 300 * time.Millisecond
+	reps := make([]*serve.InProc, 3)
+	urls := make([]string, 3)
+	for i := range reps {
+		p, err := serve.StartInProc(serve.Config{MaxBatch: 4, Window: 2 * time.Millisecond, JobTTL: ttl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i], urls[i] = p, p.URL
+		defer p.Close(ctx)
+	}
+	rt := newTestRouterK(t, urls, 2)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL, client.WithRetry(0, 0))
+
+	sub := api.SubsampleRequest{Dataset: "GESTS-2048", Cube: 8, NumHypercubes: 2, NumSamples: 16, Seed: 5}
+	req := api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &sub, IdempotencyKey: api.NewIdempotencyKey()}
+	run := func() (*api.Job, *api.JobResult) {
+		t.Helper()
+		job, err := c.SubmitJob(ctx, &req)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		done, err := c.WaitJob(ctx, job.ID, 5*time.Millisecond)
+		if err != nil || done.State != api.JobSucceeded || done.ID != job.ID {
+			t.Fatalf("job %s ended as %+v, %v", job.ID, done, err)
+		}
+		res, err := c.JobResult(ctx, job.ID)
+		if err != nil || res.Subsample == nil {
+			t.Fatalf("result of %s = %+v, %v", job.ID, res, err)
+		}
+		return job, res
+	}
+	first, want := run()
+	waitFor(t, "the key to expire on every replica", 5*time.Second, func() bool {
+		for _, p := range reps {
+			if _, err := p.Server.Jobs().GetByKey(req.IdempotencyKey); err == nil {
+				return false
+			}
+		}
+		return true
+	})
+
+	second, got := run()
+	if second.ID == first.ID {
+		t.Fatalf("resubmission after expiry answered the expired job %s", first.ID)
+	}
+	if got.Subsample.Points != want.Subsample.Points {
+		t.Fatalf("new job's result has %d points, the first had %d", got.Subsample.Points, want.Subsample.Points)
+	}
+	if _, err := c.JobResult(ctx, first.ID); api.AsError(err).Code != api.CodeJobNotFound {
+		t.Fatalf("result of the expired job %s = %v, want job_not_found", first.ID, err)
+	}
+}
+
+// settleFleet is a K=2 fleet of two replicas whose follower, for the
+// keyed job the fleet was started with, can be made to hold every
+// settle call (PUT /v2/keys) open until the caller gives up.
+type settleFleet struct {
+	c                 *client.Client
+	primary, follower *serve.InProc
+	primaryFront      *httptest.Server
+	stuck             *atomic.Bool // the follower holds settle calls
+	key               string
+	job               *api.Job
+}
+
+// startSettleFleet submits one keyed job through the router while the
+// follower holds settle calls, and returns once the job has finished on
+// its primary, before any terminal read.
+func startSettleFleet(t *testing.T) *settleFleet {
+	_, ckpt := newCheckpoint(t)
+	ctx := context.Background()
+	release := make(chan struct{})
+	reps := make([]*serve.InProc, 2)
+	fronts := make([]*httptest.Server, 2)
+	stuck := make([]*atomic.Bool, 2)
+	urls := make([]string, 2)
+	for i := range reps {
+		p := startReplica(t, "", ckpt)
+		h, hold := p.Server.Handler(), new(atomic.Bool)
+		front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hold.Load() && r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v2/keys/") {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { front.Close(); p.Close(ctx) })
+		reps[i], fronts[i], stuck[i], urls[i] = p, front, hold, front.URL
+	}
+	t.Cleanup(func() { close(release) })
+	rt := newTestRouterK(t, urls, 2)
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+
+	sub := api.SubsampleRequest{Dataset: "GESTS-2048", Cube: 8, NumHypercubes: 2, NumSamples: 16, Seed: 9}
+	p, f := 0, 1
+	if rt.ReplicaSet().Sequence(subsampleKey(&sub), 2)[0].URL == urls[1] {
+		p, f = 1, 0
+	}
+	sf := &settleFleet{c: client.New(ts.URL, client.WithRetry(0, 0)), primary: reps[p], follower: reps[f],
+		primaryFront: fronts[p], stuck: stuck[f], key: api.NewIdempotencyKey()}
+	sf.stuck.Store(true)
+	var err error
+	sf.job, err = sf.c.SubmitJob(ctx, &api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &sub, IdempotencyKey: sf.key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := splitJobID(sf.job.ID)
+	waitFor(t, "the job to finish on its primary", 10*time.Second, func() bool {
+		j, err := sf.primary.Server.Jobs().Get(raw)
+		return err == nil && j.State.Terminal()
+	})
+	return sf
+}
+
+// readHeld reads the job's first terminal state through the router while
+// the follower holds the settle call: it must come back succeeded within
+// about settleTimeout, and leave the follower's reservation pending.
+func (sf *settleFleet) readHeld(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	t0 := time.Now()
+	done, err := sf.c.Job(ctx, sf.job.ID)
+	if took := time.Since(t0); err != nil || done.State != api.JobSucceeded || took > settleTimeout+2*time.Second {
+		t.Fatalf("terminal read with a hung follower = %+v, %v after %v; want succeeded within about %v",
+			done, err, took, settleTimeout)
+	}
+	if held, err := sf.follower.Server.Jobs().GetByKey(sf.key); err != nil || held.State != api.JobPending {
+		t.Fatalf("hung follower holds %+v, %v; want its reservation still pending", held, err)
+	}
+}
+
+// TestShardSettleWaitsBoundedForFollower: a follower that accepts the
+// settle call but never answers delays the terminal read by at most
+// settleTimeout, keeps its reservation, and is settled by a later
+// terminal read once it answers again.
+func TestShardSettleWaitsBoundedForFollower(t *testing.T) {
+	sf := startSettleFleet(t)
+	sf.readHeld(t)
+	sf.stuck.Store(false)
+	if _, err := sf.c.Job(context.Background(), sf.job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if held, err := sf.follower.Server.Jobs().GetByKey(sf.key); err != nil || held.State != api.JobSucceeded {
+		t.Fatalf("follower after it answers again = %+v, %v; want a settled copy", held, err)
+	}
+}
+
+// TestShardResubmitAfterTerminalDoesNotTakeOver: a key whose terminal
+// state was returned, whose primary then died before its follower was
+// settled, is not run again by a resubmission: the router answers the
+// state it returned, and the follower's reservation stays unactivated.
+func TestShardResubmitAfterTerminalDoesNotTakeOver(t *testing.T) {
+	sf := startSettleFleet(t)
+	sf.readHeld(t)
+	sf.primaryFront.Close()
+	sf.stuck.Store(false)
+
+	req := api.SubmitJobRequest{IdempotencyKey: sf.key, Type: api.JobSubsample,
+		Subsample: &api.SubsampleRequest{Dataset: "GESTS-2048", Cube: 8, NumHypercubes: 2, NumSamples: 16, Seed: 9}}
+	again, err := sf.c.SubmitJob(context.Background(), &req)
+	if err != nil || again.ID != sf.job.ID || again.State != api.JobSucceeded {
+		t.Fatalf("resubmission with the primary down = %+v, %v; want %s succeeded", again, err, sf.job.ID)
+	}
+	if held, err := sf.follower.Server.Jobs().GetByKey(sf.key); err != nil || held.State != api.JobPending {
+		t.Fatalf("follower holds %+v, %v; want its reservation unactivated", held, err)
+	}
+	if n := sf.follower.Server.Metrics().ExecutionsTotal(api.JobSubsample); n != 0 {
+		t.Fatalf("follower ran the job %d times, want 0", n)
 	}
 }

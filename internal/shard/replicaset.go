@@ -115,10 +115,6 @@ type ReplicaSet struct {
 	wg       sync.WaitGroup
 }
 
-// minProbeTimeout is the shortest deadline a health probe gets, however
-// short the probe period.
-const minProbeTimeout = 250 * time.Millisecond
-
 // NewReplicaSet builds the set with every seed replica initially admitted;
 // the first probe round corrects optimism about backends that are already
 // down. Seed replica IDs are r0, r1, ... in URL order; later joiners
@@ -133,10 +129,10 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 2
 	}
-	// A probe gets one period to answer, but at least minProbeTimeout: a
-	// tighter deadline ejects a replica that is only busy (a GC pause, a
-	// saturated host) when two probes in a row run late.
-	probeTimeout := min(max(cfg.ProbeEvery, minProbeTimeout), 2*time.Second)
+	probeTimeout := cfg.ProbeEvery
+	if probeTimeout > 2*time.Second {
+		probeTimeout = 2 * time.Second
+	}
 	rs := &ReplicaSet{
 		byID:         map[string]*Replica{},
 		former:       map[string]*Replica{},

@@ -79,7 +79,9 @@ type Router struct {
 
 	// keys remembers, per idempotency key, the submission (to activate a
 	// reservation), the followers still to settle, and the highest state
-	// returned (so no client sees a keyed job move backwards).
+	// returned (so no client sees a keyed job move backwards). Nil at
+	// K=1, where a keyed job has no followers and its state comes from
+	// its one replica.
 	keys *keyBook
 }
 
@@ -115,7 +117,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		start:       time.Now(),
 		replication: cfg.Replication,
 		owners:      newOwnerCache(maxJobOwnerEntries),
-		keys:        newKeyBook(maxKeyRecords),
+	}
+	if rt.replication > 1 {
+		rt.keys = newKeyBook(maxKeyRecords)
 	}
 	// A replica leaving the ring for health reasons takes its unkeyed
 	// sticky-cache entries with it: the cache must not pin routing state
@@ -617,6 +621,9 @@ func (rt *Router) resolveKey(ctx context.Context, key string, cands []*Replica, 
 			return job, prim, true
 		}
 	}
+	if rt.keys == nil {
+		return nil, nil, false
+	}
 	if req == nil {
 		req = rt.keys.Request(key)
 	}
@@ -673,20 +680,31 @@ func (rt *Router) reserve(ctx context.Context, routeKey string, req *api.SubmitJ
 	return ids
 }
 
+// settleTimeout bounds each call that copies an outcome onto a follower,
+// so a follower that accepts connections but never answers delays a read
+// by at most this long.
+const settleTimeout = time.Second
+
 // settle copies a keyed job's terminal outcome from rep, where it ran,
 // onto the followers still holding a bare reservation for its key: the
 // terminal record, plus the result (res, or fetched from rep) when it
-// succeeded. Best-effort: followers it cannot reach stay on the list and
-// are retried on the next terminal read. When the router does not know
-// the followers, every other live replica is offered the outcome, and
-// those without the key decline it.
+// succeeded. Best-effort and concurrent, each call bounded by
+// settleTimeout: followers that are down or do not answer stay on the
+// list and are retried on the next terminal read. When the router does
+// not know the followers, every other live replica is offered the
+// outcome, and those without the key decline it.
 func (rt *Router) settle(ctx context.Context, rep *Replica, raw string, job *api.Job, res *api.JobResult) {
 	key := job.IdempotencyKey
 	ids, known := rt.keys.Unsettled(key)
 	var targets []*Replica
+	var left []string
 	if known {
 		for _, id := range ids {
-			if r, ok := rt.rs.Get(id); ok && r != rep {
+			switch r, ok := rt.rs.Get(id); {
+			case !ok || r == rep:
+			case !r.Up():
+				left = append(left, id)
+			default:
 				targets = append(targets, r)
 			}
 		}
@@ -698,7 +716,7 @@ func (rt *Router) settle(ctx context.Context, rep *Replica, raw string, job *api
 		}
 	}
 	if len(targets) == 0 {
-		rt.keys.SetUnsettled(key, nil)
+		rt.keys.SetUnsettled(key, left)
 		return
 	}
 	out := &api.SettleRequest{Job: *job, Result: res}
@@ -708,23 +726,28 @@ func (rt *Router) settle(ctx context.Context, rep *Replica, raw string, job *api
 			return
 		}
 	}
-	var left []string
+	var wg sync.WaitGroup
+	var mu sync.Mutex
 	for _, r := range targets {
-		_, err := r.C.SettleKey(ctx, key, out)
-		if err == nil {
-			rt.rs.NoteOK(r)
-			continue
-		}
-		switch api.AsError(err).Code {
-		case api.CodeJobNotFound:
-			// Holds nothing for the key (never reserved, or expired).
-		case api.CodeUnavailable:
-			rt.rs.NoteFailure(r, err)
+		wg.Add(1)
+		go func(r *Replica) {
+			defer wg.Done()
+			cctx, cancel := context.WithTimeout(ctx, settleTimeout)
+			defer cancel()
+			_, err := r.C.SettleKey(cctx, key, out)
+			if err == nil {
+				rt.rs.NoteOK(r)
+				return
+			}
+			if api.AsError(err).Code == api.CodeJobNotFound {
+				return // holds nothing for the key (never reserved, or expired)
+			}
+			mu.Lock()
 			left = append(left, r.ID)
-		default:
-			left = append(left, r.ID)
-		}
+			mu.Unlock()
+		}(r)
 	}
+	wg.Wait()
 	rt.keys.SetUnsettled(key, left)
 }
 
@@ -736,7 +759,7 @@ func (rt *Router) settle(ctx context.Context, rep *Replica, raw string, job *api
 func (rt *Router) answer(ctx context.Context, rep *Replica, job *api.Job, res *api.JobResult) *api.Job {
 	raw := job.ID
 	job.ID = raw + jobIDSep + rep.ID
-	if job.IdempotencyKey == "" {
+	if job.IdempotencyKey == "" || rt.keys == nil {
 		return job
 	}
 	if job.State.Terminal() {
@@ -769,6 +792,10 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 			rt.met.ObserveRouted(rep.ID)
 			return writeJSON(w, http.StatusOK, rt.answer(r.Context(), rep, job, nil))
 		}
+		if seen, ok := rt.seenUnreachable(r.Context(), req.IdempotencyKey); ok {
+			rt.met.ObserveOwnerDedupHit()
+			return writeJSON(w, http.StatusOK, &seen)
+		}
 	}
 	// Unkeyed submissions never fail over on unavailable: the backend may
 	// have admitted the job before the connection died, and a retry
@@ -793,8 +820,9 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 		return writeAPIError(w, err)
 	}
 	rt.rememberJob(job.ID, rep.ID, req.IdempotencyKey)
-	if req.IdempotencyKey != "" {
-		rt.keys.Submitted(&req, rt.reserve(r.Context(), key, &req, rep, job.ID+jobIDSep+rep.ID))
+	if req.IdempotencyKey != "" && rt.keys != nil {
+		id := job.ID + jobIDSep + rep.ID
+		rt.keys.Submitted(&req, id, rt.reserve(r.Context(), key, &req, rep, id))
 	}
 	return writeJSON(w, http.StatusAccepted, rt.answer(r.Context(), rep, job, nil))
 }
@@ -841,6 +869,40 @@ func (rt *Router) findReplicated(ctx context.Context, raw, deadID string) (*api.
 	}
 	dead, _ := rt.rs.Get(deadID)
 	return rt.resolveKey(ctx, key, rt.rs.Live(), dead, nil)
+}
+
+// seenUnreachable answers a keyed resubmission that found no job in the
+// owner set although this router has returned the key's terminal state:
+// if the replica that holds that outcome does not answer, the snapshot
+// returned before is answered again, rather than running the job a
+// second time (see resolveKey). ok is false when the key has no terminal
+// answer or its job is gone (expired), so the submission goes ahead.
+func (rt *Router) seenUnreachable(ctx context.Context, key string) (api.Job, bool) {
+	if rt.keys == nil {
+		return api.Job{}, false
+	}
+	seen := rt.keys.Seen(key)
+	if !seen.State.Terminal() {
+		return api.Job{}, false
+	}
+	raw, rep, err := rt.jobReplica(seen.ID)
+	if err == nil {
+		_, err = rep.C.Job(ctx, raw)
+	}
+	return seen, err != nil && api.AsError(err).Code != api.CodeJobNotFound
+}
+
+// readResult reads the result of the job a client-facing ID names.
+func (rt *Router) readResult(ctx context.Context, id string) (*api.JobResult, error) {
+	raw, rep, err := rt.jobReplica(id)
+	if err != nil {
+		return nil, err
+	}
+	res, err := rep.C.JobResult(ctx, raw)
+	if err == nil {
+		rt.met.ObserveRouted(rep.ID)
+	}
+	return res, err
 }
 
 // forwardJob forwards one sticky job call to the owning replica and
@@ -907,17 +969,19 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 		// must not turn "not ready" because the replica asked is down or
 		// running the job again (a takeover, or its own re-run after a
 		// restart): fetch it where the succeeded answer came from, and
-		// failing that answer unavailable.
-		if key != "" {
+		// answer unavailable while that replica does not. A job that no
+		// longer exists (expired) answers job_not_found.
+		if key != "" && rt.keys != nil && api.AsError(err).Code != api.CodeJobNotFound {
 			if seen := rt.keys.Seen(key); seen.State == api.JobSucceeded {
-				if sraw, srep, serr := rt.jobReplica(seen.ID); serr == nil {
-					if res2, err2 := srep.C.JobResult(r.Context(), sraw); err2 == nil {
-						rt.met.ObserveRouted(srep.ID)
-						return writeJSON(w, http.StatusOK, res2)
-					}
+				res2, err2 := rt.readResult(r.Context(), seen.ID)
+				if err2 == nil {
+					return writeJSON(w, http.StatusOK, res2)
 				}
-				err = api.Errorf(api.CodeUnavailable,
-					"shard: job %s succeeded, but no replica holding its result answers", seen.ID)
+				err = err2
+				if api.AsError(err2).Code != api.CodeJobNotFound {
+					err = api.Errorf(api.CodeUnavailable,
+						"shard: job %s succeeded, but no replica holding its result answers", seen.ID)
+				}
 			}
 		}
 		return writeAPIError(w, err)
@@ -926,7 +990,7 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 	rt.met.ObserveRouted(rep.ID)
 	// A result read before any terminal status read is the key's first
 	// terminal answer: settle it with the result in hand.
-	if key != "" && !rt.keys.Seen(key).State.Terminal() {
+	if key != "" && rt.keys != nil && !rt.keys.Seen(key).State.Terminal() {
 		if job, err := rep.C.Job(r.Context(), raw); err == nil {
 			rt.answer(r.Context(), rep, job, res)
 		}
