@@ -44,6 +44,10 @@
 // into one fleet view, and cmd/sickle-top renders it as a live terminal
 // dashboard (internal/obs/top; -once emits one JSON snapshot for CI).
 //
+// Both HTTP tiers embed internal/node, which owns what they share: the
+// observability stack above, the request instrument, the JSON envelope
+// helpers, and a route table that generates the typed 405/404 fallbacks.
+//
 // The public surface lives under pkg/: api (the versioned wire contract —
 // request/response types, the typed error envelope with machine-readable
 // codes, job types, version negotiation) and client (the Go SDK: typed

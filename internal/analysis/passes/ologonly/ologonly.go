@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 // is banned. internal/obs/top is deliberately absent: it renders the
 // terminal console.
 var longRunning = []string{
-	"internal/serve", "internal/shard", "internal/stream", "internal/train",
+	"internal/node", "internal/serve", "internal/shard", "internal/stream", "internal/train",
 	"internal/durable", "internal/minimpi",
 	"internal/obs", "internal/obs/log", "internal/obs/slo", "internal/obs/events", "internal/obs/tsdb",
 	"cmd/sickle-serve", "cmd/sickle-shard", "cmd/sickle-stream", "cmd/sickle-train",

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	"sort"
+
+	"repro/pkg/api"
 )
 
 // TracePayload is the /debug/traces/{id} response body: one trace's spans,
@@ -26,24 +29,44 @@ func (t *Tracer) HandleTraceList(w http.ResponseWriter, _ *http.Request) {
 	if t != nil {
 		tier = t.tier
 	}
-	writeDebugJSON(w, TraceListPayload{Tier: tier, Traces: t.Traces(100)})
+	WriteDebug(w, TraceListPayload{Tier: tier, Traces: t.Traces(100)}, nil)
 }
 
 // HandleTraceByID serves one trace's spans (GET /debug/traces/{id}).
 func (t *Tracer) HandleTraceByID(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	spans := t.Spans(id)
-	if len(spans) == 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "no trace " + id})
-		return
-	}
-	writeDebugJSON(w, TracePayload{TraceID: id, Spans: spans})
+	p, err := t.Answer(r)
+	WriteDebug(w, p, err)
 }
 
-func writeDebugJSON(w http.ResponseWriter, v any) {
+// Answer builds the /debug/traces/{id} payload for r: the spans this
+// tracer recorded for the trace, ordered by start time, or a typed
+// not_found. The payload's TraceID is set either way, so a fleet view can
+// still fill it from other tiers.
+func (t *Tracer) Answer(r *http.Request) (TracePayload, error) {
+	id := r.PathValue("id")
+	p := TracePayload{TraceID: id, Spans: t.Spans(id)}
+	if len(p.Spans) == 0 {
+		return p, api.Errorf(api.CodeNotFound, "no trace %q", id)
+	}
+	return p, nil
+}
+
+// Merge folds another tier's spans of the same trace into p, keeping
+// start order. Spans name their own tier, so replica is not recorded.
+func (p *TracePayload) Merge(_ string, other TracePayload) {
+	p.Spans = append(p.Spans, other.Spans...)
+	sort.SliceStable(p.Spans, func(a, b int) bool { return p.Spans[a].Start.Before(p.Spans[b].Start) })
+}
+
+// WriteDebug writes a /debug endpoint's answer: v as JSON with status
+// 200, or err as the typed error envelope with its code's status.
+func WriteDebug(w http.ResponseWriter, v any, err error) {
 	w.Header().Set("Content-Type", "application/json")
+	if err != nil {
+		ae := api.AsError(err)
+		w.WriteHeader(ae.Code.HTTPStatus())
+		v = api.ErrorEnvelope{Error: ae}
+	}
 	json.NewEncoder(w).Encode(v)
 }
 
@@ -74,10 +97,7 @@ func NewDebugMux(reg *Registry, t *Tracer, extra ...Mounter) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if reg != nil {
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			w.Write([]byte(reg.Render()))
-		})
+		mux.Handle("GET /metrics", reg)
 	}
 	if t != nil {
 		t.Mount(mux)

@@ -10,7 +10,6 @@
 package events
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
@@ -166,19 +165,29 @@ func (j *Journal) Register(reg *obs.Registry) {
 		func() float64 { return float64(j.Dropped()) })
 }
 
-// Payload is the /debug/events response body. The shard router returns
-// the same shape with every replica's events merged in (each event keeps
-// its own tier, and gains a "replica" attr naming its origin).
+// Payload is the /debug/events response body. A fleet view returns the
+// same shape with every replica's events merged in (Payload.Merge: each
+// event keeps its own tier, and gains a "replica" attr naming its origin).
 type Payload struct {
 	Tier    string  `json:"tier"`
 	Dropped uint64  `json:"dropped"`
 	Events  []Event `json:"events"`
+
+	limit int // the query's limit, which a merge keeps to
 }
 
-// HandleEvents serves the journal tail (GET /debug/events). Query params:
-// limit (default 256), type (exact event type), since (RFC3339 or a Go
-// duration like "5m" meaning that long ago).
+// HandleEvents serves the journal tail (GET /debug/events).
 func (j *Journal) HandleEvents(w http.ResponseWriter, r *http.Request) {
+	p, err := j.Answer(r)
+	obs.WriteDebug(w, p, err)
+}
+
+// Answer builds the /debug/events payload for r. Query params: limit
+// (default 256), type (exact event type), since (RFC3339 or a Go
+// duration like "5m" meaning that long ago; unparsable means no cutoff).
+// It never fails; the error is there for the shape every debug endpoint
+// shares.
+func (j *Journal) Answer(r *http.Request) (Payload, error) {
 	limit := 256
 	if s := r.URL.Query().Get("limit"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -192,12 +201,31 @@ func (j *Journal) HandleEvents(w http.ResponseWriter, r *http.Request) {
 		tier = j.tier
 	}
 	payload := Payload{Tier: tier, Dropped: j.Dropped(),
-		Events: j.Events(limit, typ, since)}
+		Events: j.Events(limit, typ, since), limit: limit}
 	if payload.Events == nil {
 		payload.Events = []Event{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(payload)
+	return payload, nil
+}
+
+// Merge folds another journal's payload into p: its events, each tagged
+// with a "replica" attr, merged in time order and kept to p's limit
+// (the newest win), and its dropped count.
+func (p *Payload) Merge(replica string, other Payload) {
+	for i := range other.Events {
+		if other.Events[i].Attrs == nil {
+			other.Events[i].Attrs = map[string]string{}
+		}
+		other.Events[i].Attrs["replica"] = replica
+	}
+	p.Dropped += other.Dropped
+	if len(other.Events) == 0 {
+		return
+	}
+	p.Events = Merge(p.Events, other.Events)
+	if p.limit > 0 && len(p.Events) > p.limit {
+		p.Events = p.Events[len(p.Events)-p.limit:]
+	}
 }
 
 // Mount registers the /debug/events endpoint on a mux.

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -311,6 +312,12 @@ func (r *Registry) Render() string {
 		f.render(&b)
 	}
 	return b.String()
+}
+
+// ServeHTTP serves the exposition (GET /metrics).
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Write([]byte(r.Render()))
 }
 
 func (f *family) render(b *strings.Builder) {

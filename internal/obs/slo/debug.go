@@ -1,14 +1,14 @@
 package slo
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // HandleSLO serves the current evaluation (GET /debug/slo).
 func (e *Engine) HandleSLO(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(e.Evaluate())
+	obs.WriteDebug(w, e.Evaluate(), nil)
 }
 
 // Mount registers the /debug/slo endpoint on a mux.

@@ -1,11 +1,14 @@
 package tsdb
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/obs/events"
+	"repro/pkg/api"
 )
 
 // Point is one sampled value in the wire payload: t is unix seconds, v is
@@ -131,10 +134,17 @@ func exemplarMap(buckets []float64, exemplars []string) map[string]string {
 	return out
 }
 
-// HandleHistory serves the stored history (GET /debug/history). Query
-// params: series (comma-separated name globs, default all), since
-// (RFC3339 or a Go duration like "5m" meaning that long ago).
+// HandleHistory serves the stored history (GET /debug/history).
 func (s *Store) HandleHistory(w http.ResponseWriter, r *http.Request) {
+	p, err := s.Answer(r)
+	obs.WriteDebug(w, p, err)
+}
+
+// Answer builds the /debug/history payload for r. Query params: series
+// (comma-separated name globs, default all), since (RFC3339 or a Go
+// duration like "5m" meaning that long ago). A bad since is a typed
+// invalid_argument.
+func (s *Store) Answer(r *http.Request) (Payload, error) {
 	var patterns []string
 	if q := r.URL.Query().Get("series"); q != "" {
 		for _, p := range strings.Split(q, ",") {
@@ -143,14 +153,9 @@ func (s *Store) HandleHistory(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	var since time.Time
-	if q := r.URL.Query().Get("since"); q != "" {
-		t, err := parseSince(q, time.Now())
-		if err != nil {
-			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = t
+	since, err := events.ParseSince(r.URL.Query().Get("since"), time.Now())
+	if err != nil {
+		return Payload{}, api.Errorf(api.CodeInvalidArgument, "bad since: %v", err)
 	}
 	tier := ""
 	if s != nil {
@@ -161,17 +166,16 @@ func (s *Store) HandleHistory(w http.ResponseWriter, r *http.Request) {
 	if payload.Series == nil {
 		payload.Series = []Series{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(payload)
+	return payload, nil
 }
 
-// parseSince mirrors events.ParseSince without the import: "" is no
-// cutoff, a Go duration means that long before now, else RFC3339.
-func parseSince(s string, now time.Time) (time.Time, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return now.Add(-d), nil
+// Merge appends another tier's series to p, each tagged with replica as
+// its origin.
+func (p *Payload) Merge(replica string, other Payload) {
+	for _, s := range other.Series {
+		s.Replica = replica
+		p.Series = append(p.Series, s)
 	}
-	return time.Parse(time.RFC3339, s)
 }
 
 // Mount registers the /debug/history endpoint on a mux.

@@ -1,30 +1,37 @@
 package serve
 
 import (
-	"encoding/json"
+	"context"
 	"net/http"
 	"strconv"
 
+	"repro/internal/node"
 	"repro/pkg/api"
 )
 
-func writeJSON(w http.ResponseWriter, status int, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	return json.NewEncoder(w).Encode(v)
+// legacyPOST serves a POST-only v1 route through legacyCall.
+func legacyPOST[Req, Resp any](fn func(context.Context, *Req) (Resp, error), forceStatus int) node.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		if r.Method != http.MethodPost {
+			return writeLegacyError(w, api.Errorf(api.CodeMethodNotAllowed, "POST only"), 0)
+		}
+		return legacyCall(w, r, fn, forceStatus)
+	}
 }
 
-// writeAPIError writes the v2 typed envelope
-// {"error":{"code":...,"message":...}} with the code's HTTP status, adding
-// Retry-After for backpressure responses so well-behaved clients pace
-// themselves.
-func writeAPIError(w http.ResponseWriter, err error) error {
-	ae := api.AsError(err)
-	if ae.RetryAfterSeconds > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ae.RetryAfterSeconds))
+// legacyCall is node.JSON under the v1 envelope: a bad body keeps its
+// own status, fn's failures take forceStatus (see writeLegacyError; v1
+// reported every subsample pipeline and registration failure as a 400).
+func legacyCall[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(context.Context, *Req) (Resp, error), forceStatus int) error {
+	var req Req
+	if err := node.DecodeBody(r, &req); err != nil {
+		return writeLegacyError(w, err, 0)
 	}
-	writeJSON(w, ae.Code.HTTPStatus(), api.ErrorEnvelope{Error: ae})
-	return ae
+	resp, err := fn(r.Context(), &req)
+	if err != nil {
+		return writeLegacyError(w, err, forceStatus)
+	}
+	return node.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeLegacyError writes the frozen v1 envelope {"error":"message"}. The
@@ -41,6 +48,6 @@ func writeLegacyError(w http.ResponseWriter, err error, forceStatus int) error {
 	if ae.RetryAfterSeconds > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(ae.RetryAfterSeconds))
 	}
-	writeJSON(w, status, map[string]string{"error": ae.Message})
+	node.WriteJSON(w, status, map[string]string{"error": ae.Message})
 	return ae
 }

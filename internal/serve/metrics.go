@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -30,9 +28,6 @@ type Metrics struct {
 	inflight *obs.Gauge
 	rejected *obs.Counter
 	execs    *obs.CounterVec
-
-	mu         sync.Mutex
-	cacheBound bool
 }
 
 // NewMetrics returns a collector over a fresh registry, with the process
@@ -64,13 +59,9 @@ func NewMetrics() *Metrics {
 // probes (and the debug mux can share /metrics).
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
-// ObserveRequest records one request on a route.
-func (m *Metrics) ObserveRequest(route string, d time.Duration, failed bool) {
-	m.ObserveRequestEx(route, d, failed, "")
-}
-
-// ObserveRequestEx is ObserveRequest carrying the request's trace ID as a
-// latency-histogram exemplar (surfaced in /debug/history, not /metrics).
+// ObserveRequestEx records one request on a route, carrying its trace ID
+// as a latency-histogram exemplar (surfaced in /debug/history, not
+// /metrics).
 func (m *Metrics) ObserveRequestEx(route string, d time.Duration, failed bool, traceID string) {
 	m.requests.With(route).Inc()
 	m.seconds.With(route).ObserveEx(d.Seconds(), traceID)
@@ -137,36 +128,18 @@ func (m *Metrics) SetJobStatsFunc(f func() map[string]int) {
 		})
 }
 
-// Render writes the Prometheus text exposition. cache may be nil; the
-// first non-nil cache binds the sickle_cache_* probes.
-func (m *Metrics) Render(cache *LRU) string {
-	if cache != nil {
-		m.mu.Lock()
-		if !m.cacheBound {
-			m.cacheBound = true
-			m.reg.CounterFunc("sickle_cache_hits_total",
-				"Inference cache hits.",
-				func() float64 { h, _, _ := cache.Stats(); return float64(h) })
-			m.reg.CounterFunc("sickle_cache_misses_total",
-				"Inference cache misses.",
-				func() float64 { _, mi, _ := cache.Stats(); return float64(mi) })
-			m.reg.CounterFunc("sickle_cache_evictions_total",
-				"Inference cache evictions.",
-				func() float64 { _, _, e := cache.Stats(); return float64(e) })
-			m.reg.GaugeFunc("sickle_cache_entries",
-				"Entries currently resident in the inference cache.",
-				func() float64 { return float64(cache.Len()) })
-		}
-		m.mu.Unlock()
-	}
-	return m.reg.Render()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// bindCache installs the sickle_cache_* probes over the server's cache.
+func (m *Metrics) bindCache(cache *LRU) {
+	m.reg.CounterFunc("sickle_cache_hits_total",
+		"Inference cache hits.",
+		func() float64 { h, _, _ := cache.Stats(); return float64(h) })
+	m.reg.CounterFunc("sickle_cache_misses_total",
+		"Inference cache misses.",
+		func() float64 { _, mi, _ := cache.Stats(); return float64(mi) })
+	m.reg.CounterFunc("sickle_cache_evictions_total",
+		"Inference cache evictions.",
+		func() float64 { _, _, e := cache.Stats(); return float64(e) })
+	m.reg.GaugeFunc("sickle_cache_entries",
+		"Entries currently resident in the inference cache.",
+		func() float64 { return float64(cache.Len()) })
 }

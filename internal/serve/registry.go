@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/nn"
@@ -127,7 +129,7 @@ func (r *Registry) List() []*ModelEntry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]*ModelEntry, 0, len(r.models))
-	for _, name := range sortedKeys(r.models) {
+	for _, name := range slices.Sorted(maps.Keys(r.models)) {
 		out = append(out, r.models[name])
 	}
 	return out

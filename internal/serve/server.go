@@ -24,18 +24,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/obs"
+	"repro/internal/node"
 	"repro/internal/obs/events"
 	olog "repro/internal/obs/log"
 	"repro/internal/obs/slo"
-	"repro/internal/obs/tsdb"
 	"repro/internal/tensor"
 	"repro/internal/train"
 	"repro/pkg/api"
@@ -90,19 +88,16 @@ func (c *Config) defaults() {
 // Server wires the registry, batcher, cache, job manager and metrics
 // behind an HTTP mux.
 type Server struct {
+	*node.Node // tracer, journal, history, SLO engine; instrument and route table
+
 	cfg      Config
 	reg      *Registry
 	batcher  *Batcher
 	cache    *LRU
 	jobs     *JobManager
 	met      *Metrics
-	tracer   *obs.Tracer
 	logger   *olog.Logger
-	journal  *events.Journal
-	history  *tsdb.Store
-	sloEng   *slo.Engine
 	durable  *durable.Store // nil without Config.DataDir
-	httpSrv  *http.Server
 	start    time.Time
 	draining atomic.Bool
 
@@ -121,27 +116,29 @@ func NewServer(cfg Config) (*Server, error) {
 	met := NewMetrics()
 	reg := NewRegistry()
 	s := &Server{
+		Node: node.New("serve", "server:", met, slo.ServeMetrics, node.Obs{
+			Logger: cfg.Logger, TraceCapacity: cfg.TraceCapacity,
+			HistoryInterval: cfg.HistoryInterval, HistoryCapacity: cfg.HistoryCapacity,
+			EventCapacity: cfg.EventCapacity, SLOs: cfg.SLOs,
+		}),
 		cfg:     cfg,
 		reg:     reg,
 		batcher: NewBatcher(reg, met, cfg.MaxBatch, cfg.Window, cfg.Workers, cfg.QueueCap),
 		cache:   NewLRU(cfg.CacheEntries),
 		jobs:    NewJobManager(cfg.JobWorkers, cfg.MaxJobs, cfg.JobTTL),
 		met:     met,
-		tracer:  obs.NewTracer("serve", cfg.TraceCapacity),
 		logger:  cfg.Logger,
-		journal: events.NewJournal("serve", cfg.EventCapacity),
 		start:   time.Now(),
 	}
 	met.SetJobStatsFunc(s.jobs.Stats)
+	met.bindCache(s.cache)
 	s.jobs.SetExecHook(met.ObserveExecution)
-	s.batcher.SetTracer(s.tracer)
-	s.jobs.SetTracer(s.tracer)
+	s.batcher.SetTracer(s.Tracer())
+	s.jobs.SetTracer(s.Tracer())
 	s.jobs.SetPanicHook(func(id string, typ api.JobType, traceID, msg string) {
-		s.journal.Emit(events.TypeJobPanic, "job panicked (recovered)", traceID,
+		s.Journal().Emit(events.TypeJobPanic, "job panicked (recovered)", traceID,
 			"job", id, "type", string(typ), "panic", msg)
 	})
-	s.tracer.RegisterDropped(met.Registry())
-	s.journal.Register(met.Registry())
 	if cfg.DataDir != "" {
 		st, records, err := durable.Open(cfg.DataDir)
 		if err != nil {
@@ -155,11 +152,8 @@ func NewServer(cfg Config) (*Server, error) {
 		})
 		s.recoverJobs(records)
 	}
-	s.history = tsdb.NewStore("serve", met.Registry(), cfg.HistoryInterval, cfg.HistoryCapacity)
-	s.sloEng = slo.NewEngine("serve", s.history, slo.ServeMetrics, cfg.SLOs,
-		met.Registry(), s.journal)
-	s.history.Start()
-	s.httpSrv = &http.Server{Addr: cfg.Addr, Handler: s.Handler()}
+	s.StartRecorder()
+	s.Bind(cfg.Addr, s.Handler())
 	return s, nil
 }
 
@@ -274,7 +268,7 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 	for _, r := range restores {
 		s.jobs.Restore(r.job, r.run, r.result)
 		wal.CountRecovered(r.action)
-		s.journal.Emit(events.TypeRecovery, "job recovered from WAL", "",
+		s.Journal().Emit(events.TypeRecovery, "job recovered from WAL", "",
 			"job", r.job.ID, "action", r.action, "state", string(r.job.State))
 	}
 	if n := len(records); n > 0 {
@@ -313,96 +307,39 @@ func (s *Server) Cache() *LRU { return s.cache }
 // Jobs exposes the job manager (tests and embedders).
 func (s *Server) Jobs() *JobManager { return s.jobs }
 
-// Tracer exposes the span ring behind /debug/traces (tests and embedders).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// Journal exposes the event journal behind /debug/events.
-func (s *Server) Journal() *events.Journal { return s.journal }
-
 // Durable exposes the durability store (nil without Config.DataDir).
 // Embedders and crash-recovery tests use it for fault injection:
 // Store.WAL.SetCrashPoint arms a stage-precise freeze, Store.Freeze
 // simulates process death outright.
 func (s *Server) Durable() *durable.Store { return s.durable }
 
-// History exposes the metrics-history store behind /debug/history.
-func (s *Server) History() *tsdb.Store { return s.history }
-
-// SLO exposes the burn-rate engine behind /debug/slo.
-func (s *Server) SLO() *slo.Engine { return s.sloEng }
-
 // Handler returns the route mux (also usable under httptest). The /v1
 // routes are the frozen compatibility shim; /v2 is the current surface.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	s.tracer.Mount(mux)
-	s.journal.Mount(mux)
-	s.history.Mount(mux)
-	s.sloEng.Mount(mux)
-	mux.HandleFunc("GET /api/version", s.instrument("/api/version", s.handleVersion))
+	mux := s.Mux([]node.Route{
+		{Pattern: "/healthz", Handle: s.handleHealthz},
+		{Pattern: "GET /api/version", Handle: s.handleVersion},
 
-	// v1: legacy envelope, original status mapping.
-	mux.HandleFunc("/v1/infer", s.instrument("/v1/infer", s.handleInferV1))
-	mux.HandleFunc("/v1/subsample", s.instrument("/v1/subsample", s.handleSubsampleV1))
-	mux.HandleFunc("/v1/models", s.instrument("/v1/models", s.handleModelsV1))
+		// v1: legacy envelope, original status mapping.
+		{Pattern: "/v1/infer", Handle: legacyPOST(s.doInfer, 0)},
+		{Pattern: "/v1/subsample", Handle: legacyPOST(s.subsampleSync, http.StatusBadRequest)},
+		{Pattern: "/v1/models", Handle: s.handleModelsV1},
 
-	// v2: typed envelope + jobs.
-	mux.HandleFunc("POST /v2/infer", s.instrument("/v2/infer", s.handleInferV2))
-	mux.HandleFunc("POST /v2/subsample", s.instrument("/v2/subsample", s.handleSubsampleV2))
-	mux.HandleFunc("GET /v2/models", s.instrument("/v2/models", s.handleListModelsV2))
-	mux.HandleFunc("POST /v2/models", s.instrument("/v2/models", s.handleRegisterModelV2))
-	mux.HandleFunc("POST /v2/jobs", s.instrument("/v2/jobs", s.handleSubmitJob))
-	mux.HandleFunc("GET /v2/jobs", s.instrument("/v2/jobs", s.handleListJobs))
-	mux.HandleFunc("GET /v2/jobs/{id}", s.instrument("/v2/jobs/{id}", s.handleGetJob))
-	mux.HandleFunc("DELETE /v2/jobs/{id}", s.instrument("/v2/jobs/{id}", s.handleCancelJob))
-	mux.HandleFunc("GET /v2/jobs/{id}/result", s.instrument("/v2/jobs/{id}/result", s.handleJobResult))
-	mux.HandleFunc("GET /v2/keys/{key}", s.instrument("/v2/keys/{key}", s.handleGetJobByKey))
-	mux.HandleFunc("PUT /v2/keys/{key}", s.instrument("/v2/keys/{key}", s.handleSettleKey))
-
-	// Keep the "every v2 failure is a typed envelope" contract even for
-	// requests the method-qualified patterns above don't match: a generic
-	// (method-less) registration per route loses to the specific pattern
-	// for matching methods and catches the rest with a typed 405; the /v2/
-	// prefix fallback turns unknown paths into a typed 404 instead of the
-	// mux's plain-text page.
-	methodNotAllowed := func(allow string) func(http.ResponseWriter, *http.Request) error {
-		return func(w http.ResponseWriter, r *http.Request) error {
-			w.Header().Set("Allow", allow)
-			return writeAPIError(w, api.Errorf(api.CodeMethodNotAllowed, "%s only", allow))
-		}
-	}
-	mux.HandleFunc("/v2/infer", s.instrument("/v2/infer", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/subsample", s.instrument("/v2/subsample", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/models", s.instrument("/v2/models", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/jobs", s.instrument("/v2/jobs", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/keys/{key}", s.instrument("/v2/keys/{key}", methodNotAllowed("GET, PUT")))
-	mux.HandleFunc("/v2/jobs/{id}", s.instrument("/v2/jobs/{id}", methodNotAllowed("GET, DELETE")))
-	mux.HandleFunc("/v2/jobs/{id}/result", s.instrument("/v2/jobs/{id}/result", methodNotAllowed("GET")))
-	mux.HandleFunc("/v2/", s.instrument("/v2/", func(w http.ResponseWriter, r *http.Request) error {
-		return writeAPIError(w, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
-	}))
-	mux.HandleFunc("/api/version", s.instrument("/api/version", methodNotAllowed("GET")))
+		// v2: typed envelope + jobs.
+		{Pattern: "POST /v2/infer", Handle: node.JSON(s.doInfer)},
+		{Pattern: "POST /v2/subsample", Handle: node.JSON(s.subsampleSync)},
+		{Pattern: "GET /v2/models", Handle: s.handleListModelsV2},
+		{Pattern: "POST /v2/models", Handle: node.JSON(s.doRegisterModel)},
+		{Pattern: "GET /v2/jobs", Handle: s.handleListJobs},
+		{Pattern: "POST /v2/jobs", Handle: s.handleSubmitJob},
+		{Pattern: "GET /v2/jobs/{id}", Handle: byID(s.jobs.Get)},
+		{Pattern: "DELETE /v2/jobs/{id}", Handle: byID(s.jobs.Cancel)},
+		{Pattern: "GET /v2/jobs/{id}/result", Handle: byID(s.jobs.Result)},
+		{Pattern: "GET /v2/keys/{key}", Handle: s.handleGetJobByKey},
+		{Pattern: "PUT /v2/keys/{key}", Handle: s.handleSettleKey},
+	})
+	s.MountDebug(mux)
 	return mux
-}
-
-// ListenAndServe blocks serving on cfg.Addr until Shutdown.
-func (s *Server) ListenAndServe() error {
-	l, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Serve blocks serving on l until Shutdown.
-func (s *Server) Serve(l net.Listener) error {
-	err := s.httpSrv.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
 }
 
 // Shutdown drains gracefully: new batcher admissions fail fast with the
@@ -414,47 +351,21 @@ func (s *Server) Serve(l net.Listener) error {
 // never a hang.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	err := s.httpSrv.Shutdown(ctx)
-	s.jobs.Close()
-	s.batcher.Stop()
-	s.history.Stop()
-	if cerr := s.durable.Close(); err == nil {
+	err := s.HTTP().Shutdown(ctx)
+	if cerr := s.stop(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// instrument wraps a handler with latency/error accounting, a server span
-// (joining the caller's trace when an X-Sickle-Trace header is present,
-// minting one otherwise), and a trace-ID-stamped request log.
-func (s *Server) instrument(route string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if tc, ok := api.ParseTraceHeader(r.Header.Get(api.TraceHeader)); ok {
-			ctx = api.WithTrace(ctx, tc)
-		}
-		ctx, span := s.tracer.StartSpan(ctx, "server:"+route)
-		span.SetAttr("method", r.Method)
-		t0 := time.Now()
-		s.met.AddInflight(1)
-		err := h(w, r.WithContext(ctx))
-		s.met.AddInflight(-1)
-		d := time.Since(t0)
-		s.met.ObserveRequestEx(route, d, err != nil, span.TraceID())
-		if err != nil {
-			span.SetAttr("error", string(api.AsError(err).Code))
-		}
-		span.End()
-		if s.logger.Enabled(olog.LevelDebug) || err != nil {
-			kv := []any{"route", route, "method", r.Method,
-				"trace", span.TraceID(), "seconds", d.Seconds()}
-			if err != nil {
-				s.logger.Warn("request failed", append(kv, "error", err.Error())...)
-			} else {
-				s.logger.Debug("request", kv...)
-			}
-		}
-	}
+// stop tears down everything but the HTTP server: running jobs are
+// canceled, the batcher and history sampler stop, the durability store
+// closes.
+func (s *Server) stop() error {
+	s.jobs.Close()
+	s.batcher.Stop()
+	s.StopRecorder()
+	return s.durable.Close()
 }
 
 // ---- shared core (both API versions decode into pkg/api types) ----
@@ -472,13 +383,6 @@ func archToSpec(a train.ArchSpec) api.ModelSpec {
 func entryToInfo(e *ModelEntry) api.ModelInfo {
 	return api.ModelInfo{Name: e.Name, Version: e.Version, Spec: archToSpec(e.Spec),
 		Checkpoint: e.Checkpoint, InputShape: e.InputShape, Replicas: e.Replicas}
-}
-
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "bad JSON: %v", err)
-	}
-	return nil
 }
 
 // doInfer validates, fans the items into the batcher under the request
@@ -538,7 +442,7 @@ func (s *Server) doInfer(ctx context.Context, req *api.InferRequest) (*api.Infer
 	return resp, nil
 }
 
-func (s *Server) doRegisterModel(req *api.RegisterModelRequest) (api.ModelInfo, error) {
+func (s *Server) doRegisterModel(_ context.Context, req *api.RegisterModelRequest) (api.ModelInfo, error) {
 	replicas := req.Replicas
 	if replicas <= 0 {
 		replicas = s.cfg.Replicas
@@ -548,7 +452,7 @@ func (s *Server) doRegisterModel(req *api.RegisterModelRequest) (api.ModelInfo, 
 		return api.ModelInfo{}, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
 	}
 	if e.Version > 1 {
-		s.journal.Emit(events.TypeHotSwap, "model checkpoint hot-swapped", "",
+		s.Journal().Emit(events.TypeHotSwap, "model checkpoint hot-swapped", "",
 			"model", e.Name, "version", fmt.Sprint(e.Version),
 			"checkpoint", e.Checkpoint)
 	}
@@ -566,51 +470,12 @@ func (s *Server) listModels() []api.ModelInfo {
 
 // ---- v1 handlers (frozen compatibility shim) ----
 
-func (s *Server) handleInferV1(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return writeLegacyError(w, api.Errorf(api.CodeMethodNotAllowed, "POST only"), 0)
-	}
-	var req api.InferRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeLegacyError(w, err, 0)
-	}
-	resp, err := s.doInfer(r.Context(), &req)
-	if err != nil {
-		return writeLegacyError(w, err, 0)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSubsampleV1(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return writeLegacyError(w, api.Errorf(api.CodeMethodNotAllowed, "POST only"), 0)
-	}
-	var req api.SubsampleRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeLegacyError(w, err, 0)
-	}
-	resp, err := s.doSubsample(r.Context(), &req, nil)
-	if err != nil {
-		// v1 reported every pipeline failure as a 400.
-		return writeLegacyError(w, err, http.StatusBadRequest)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleModelsV1(w http.ResponseWriter, r *http.Request) error {
 	switch r.Method {
 	case http.MethodGet:
-		return writeJSON(w, http.StatusOK, s.listModels())
+		return node.WriteJSON(w, http.StatusOK, s.listModels())
 	case http.MethodPost:
-		var req api.RegisterModelRequest
-		if err := decodeBody(r, &req); err != nil {
-			return writeLegacyError(w, err, 0)
-		}
-		info, err := s.doRegisterModel(&req)
-		if err != nil {
-			return writeLegacyError(w, err, http.StatusBadRequest)
-		}
-		return writeJSON(w, http.StatusOK, info)
+		return legacyCall(w, r, s.doRegisterModel, http.StatusBadRequest)
 	default:
 		return writeLegacyError(w, api.Errorf(api.CodeMethodNotAllowed, "GET or POST"), 0)
 	}
@@ -619,65 +484,29 @@ func (s *Server) handleModelsV1(w http.ResponseWriter, r *http.Request) error {
 // ---- v2 handlers (typed envelope) ----
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, api.VersionInfo{
+	return node.WriteJSON(w, http.StatusOK, api.VersionInfo{
 		Versions: api.SupportedVersions(), Latest: api.Latest,
 	})
 }
 
-func (s *Server) handleInferV2(w http.ResponseWriter, r *http.Request) error {
-	var req api.InferRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	resp, err := s.doInfer(r.Context(), &req)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSubsampleV2(w http.ResponseWriter, r *http.Request) error {
-	var req api.SubsampleRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	resp, err := s.doSubsample(r.Context(), &req, nil)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleListModelsV2(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, s.listModels())
-}
-
-func (s *Server) handleRegisterModelV2(w http.ResponseWriter, r *http.Request) error {
-	var req api.RegisterModelRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	info, err := s.doRegisterModel(&req)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, info)
+	return node.WriteJSON(w, http.StatusOK, s.listModels())
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
-		return writeAPIError(w, errShuttingDown())
+		return node.WriteAPIError(w, errShuttingDown())
 	}
 	var req api.SubmitJobRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
+	if err := node.DecodeBody(r, &req); err != nil {
+		return node.WriteAPIError(w, err)
 	}
 	runner, err := s.runnerFor(&req)
 	if err != nil {
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
 	if req.ReserveFor != "" && req.IdempotencyKey == "" {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "a reservation needs an idempotency key"))
+		return node.WriteAPIError(w, api.Errorf(api.CodeInvalidArgument, "a reservation needs an idempotency key"))
 	}
 	opts := SubmitOptions{Key: req.IdempotencyKey, ReserveFor: req.ReserveFor}
 	if s.durable != nil {
@@ -687,17 +516,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	}
 	job, dup, err := s.jobs.SubmitWith(r.Context(), req.Type, runner, opts)
 	if err != nil {
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
 	if dup {
 		// A keyed resubmission deduplicated onto its original job: 200
 		// (nothing new was created) with the original snapshot.
 		tc, _ := api.TraceFrom(r.Context())
-		s.journal.Emit(events.TypeDedupHit, "idempotent resubmission returned original job",
+		s.Journal().Emit(events.TypeDedupHit, "idempotent resubmission returned original job",
 			tc.TraceID, "job", job.ID, "kind", "idempotency_key")
-		return writeJSON(w, http.StatusOK, job)
+		return node.WriteJSON(w, http.StatusOK, job)
 	}
-	return writeJSON(w, http.StatusAccepted, job)
+	return node.WriteJSON(w, http.StatusAccepted, job)
 }
 
 // handleListJobs lists the jobs this replica runs: held copies of keyed
@@ -710,15 +539,18 @@ func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) error {
 			own = append(own, j)
 		}
 	}
-	return writeJSON(w, http.StatusOK, own)
+	return node.WriteJSON(w, http.StatusOK, own)
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) error {
-	job, err := s.jobs.Get(r.PathValue("id"))
-	if err != nil {
-		return writeAPIError(w, err)
+// byID serves a job read or cancel: fn applied to the {id} path value.
+func byID[T any](fn func(id string) (T, error)) node.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		v, err := fn(r.PathValue("id"))
+		if err != nil {
+			return node.WriteAPIError(w, err)
+		}
+		return node.WriteJSON(w, http.StatusOK, v)
 	}
-	return writeJSON(w, http.StatusOK, job)
 }
 
 // handleGetJobByKey answers "do you hold idempotency key X?" — the
@@ -728,13 +560,13 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error {
 	key, err := url.PathUnescape(r.PathValue("key"))
 	if err != nil {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
+		return node.WriteAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
 	job, err := s.jobs.GetByKey(key)
 	if err != nil {
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
-	return writeJSON(w, http.StatusOK, job)
+	return node.WriteJSON(w, http.StatusOK, job)
 }
 
 // handleSettleKey stores a keyed job's terminal outcome over this
@@ -743,33 +575,17 @@ func (s *Server) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error
 func (s *Server) handleSettleKey(w http.ResponseWriter, r *http.Request) error {
 	key, err := url.PathUnescape(r.PathValue("key"))
 	if err != nil {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
+		return node.WriteAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
 	var req api.SettleRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
+	if err := node.DecodeBody(r, &req); err != nil {
+		return node.WriteAPIError(w, err)
 	}
 	job, err := s.jobs.Settle(key, req.Job, req.Result)
 	if err != nil {
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
-	return writeJSON(w, http.StatusOK, job)
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
-	job, err := s.jobs.Cancel(r.PathValue("id"))
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, job)
-}
-
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) error {
-	res, err := s.jobs.Result(r.PathValue("id"))
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, res)
+	return node.WriteJSON(w, http.StatusOK, job)
 }
 
 // ---- shared plain endpoints ----
@@ -779,16 +595,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 	for _, e := range s.reg.List() {
 		models = append(models, fmt.Sprintf("%s@v%d", e.Name, e.Version))
 	}
-	return writeJSON(w, http.StatusOK, api.Health{
-		Status:        s.sloEng.Status(),
+	return node.WriteJSON(w, http.StatusOK, api.Health{
+		Status:        s.SLO().Status(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Models:        models,
 		QueueDepth:    s.batcher.QueueDepth(),
 		Jobs:          s.jobs.Stats(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprint(w, s.met.Render(s.cache))
 }

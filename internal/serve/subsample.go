@@ -87,6 +87,11 @@ func pipelineConfig(req *api.SubsampleRequest, f *grid.Field) sampling.PipelineC
 	return pcfg
 }
 
+// subsampleSync serves a synchronous subsample request.
+func (s *Server) subsampleSync(ctx context.Context, req *api.SubsampleRequest) (*api.SubsampleResponse, error) {
+	return s.doSubsample(ctx, req, nil)
+}
+
 // doSubsample runs the two-phase pipeline (or reads a shard) under ctx and
 // reports what was selected. Only dataset/shard loading is cached — the
 // pipeline itself is cheap relative to synthesis and depends on the full
@@ -170,7 +175,7 @@ func (s *Server) subsampleJobRunner(req api.SubsampleRequest) JobRunner {
 				var res api.JobResult
 				if json.Unmarshal(b, &res) == nil && res.Subsample != nil {
 					tc, _ := api.TraceFrom(ctx)
-					s.journal.Emit(events.TypeDedupHit, "subsample served from content-addressed cache",
+					s.Journal().Emit(events.TypeDedupHit, "subsample served from content-addressed cache",
 						tc.TraceID, "key", key[:12], "kind", "cas")
 					return &res, nil
 				}

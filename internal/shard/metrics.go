@@ -153,13 +153,9 @@ func (m *Metrics) RebalancesTotal() int64 {
 	return int64(m.rebalances.Value())
 }
 
-// ObserveRequest records one router request on a route.
-func (m *Metrics) ObserveRequest(route string, d time.Duration, failed bool) {
-	m.ObserveRequestEx(route, d, failed, "")
-}
-
-// ObserveRequestEx is ObserveRequest carrying the request's trace ID as a
-// latency-histogram exemplar (surfaced in /debug/history, not /metrics).
+// ObserveRequestEx records one router request on a route, carrying its
+// trace ID as a latency-histogram exemplar (surfaced in /debug/history,
+// not /metrics).
 func (m *Metrics) ObserveRequestEx(route string, d time.Duration, failed bool, traceID string) {
 	m.requests.With(route).Inc()
 	m.seconds.With(route).ObserveEx(d.Seconds(), traceID)
@@ -176,11 +172,6 @@ func (m *Metrics) RoutedTotal(replica string) int64 {
 // FailoversTotal returns the cumulative failover count (tests).
 func (m *Metrics) FailoversTotal() int64 {
 	return int64(m.failovers.Value())
-}
-
-// Render writes the Prometheus text exposition.
-func (m *Metrics) Render() string {
-	return m.reg.Render()
 }
 
 func sortedKeys[V any](m map[string]V) []string {

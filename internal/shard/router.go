@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -12,12 +11,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/events"
 	olog "repro/internal/obs/log"
 	"repro/internal/obs/slo"
-	"repro/internal/obs/tsdb"
 	"repro/pkg/api"
+	"repro/pkg/client"
 )
 
 // Config sizes the router. Zero values select the documented defaults.
@@ -50,16 +50,12 @@ type Config struct {
 // failover; listings and the version handshake scatter-gather; job
 // lookups stick to the accepting replica through an ID suffix.
 type Router struct {
-	cfg     Config
-	rs      *ReplicaSet
-	met     *Metrics
-	tracer  *obs.Tracer
-	logger  *olog.Logger
-	journal *events.Journal
-	history *tsdb.Store
-	sloEng  *slo.Engine
-	httpSrv *http.Server
-	start   time.Time
+	*node.Node // tracer, journal, history, SLO engine; instrument and route table
+
+	cfg   Config
+	rs    *ReplicaSet
+	met   *Metrics
+	start time.Time
 
 	// replication is the owner-set size K: a keyed job submission runs on
 	// the first of the K distinct ring successors of its routing key (the
@@ -98,22 +94,24 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg.Replication = 1
 	}
 	met := NewMetrics()
-	journal := events.NewJournal("shard", cfg.EventCapacity)
+	n := node.New("shard", "router:", met, slo.ShardMetrics, node.Obs{
+		Logger: cfg.Logger, TraceCapacity: cfg.TraceCapacity,
+		HistoryInterval: cfg.HistoryInterval, HistoryCapacity: cfg.HistoryCapacity,
+		EventCapacity: cfg.EventCapacity, SLOs: cfg.SLOs,
+	})
 	rs, err := NewReplicaSet(SetConfig{
 		URLs: cfg.URLs, VNodes: cfg.VNodes,
 		ProbeEvery: cfg.ProbeEvery, FailAfter: cfg.FailAfter,
-		HTTPClient: cfg.HTTPClient, Journal: journal,
+		HTTPClient: cfg.HTTPClient, Journal: n.Journal(),
 	}, met)
 	if err != nil {
 		return nil, err
 	}
 	rt := &Router{
+		Node:        n,
 		cfg:         cfg,
 		rs:          rs,
 		met:         met,
-		tracer:      obs.NewTracer("shard", cfg.TraceCapacity),
-		logger:      cfg.Logger,
-		journal:     journal,
 		start:       time.Now(),
 		replication: cfg.Replication,
 		owners:      newOwnerCache(maxJobOwnerEntries),
@@ -135,12 +133,7 @@ func NewRouter(cfg Config) (*Router, error) {
 			}
 			return float64(n)
 		})
-	rt.tracer.RegisterDropped(met.Registry())
-	journal.Register(met.Registry())
-	rt.history = tsdb.NewStore("shard", met.Registry(), cfg.HistoryInterval, cfg.HistoryCapacity)
-	rt.sloEng = slo.NewEngine("shard", rt.history, slo.ShardMetrics, cfg.SLOs,
-		met.Registry(), journal)
-	rt.httpSrv = &http.Server{Addr: cfg.Addr, Handler: rt.Handler()}
+	rt.Bind(cfg.Addr, rt.Handler())
 	return rt, nil
 }
 
@@ -150,49 +143,19 @@ func (rt *Router) ReplicaSet() *ReplicaSet { return rt.rs }
 // Metrics exposes the collector (tests).
 func (rt *Router) Metrics() *Metrics { return rt.met }
 
-// Tracer exposes the span ring behind /debug/traces (tests and embedders).
-func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
-
-// Journal exposes the event journal behind /debug/events.
-func (rt *Router) Journal() *events.Journal { return rt.journal }
-
-// History exposes the metrics-history store behind /debug/history.
-func (rt *Router) History() *tsdb.Store { return rt.history }
-
-// SLO exposes the burn-rate engine behind /debug/slo.
-func (rt *Router) SLO() *slo.Engine { return rt.sloEng }
-
 // Start launches the background health prober and the history sampler.
 func (rt *Router) Start() {
 	rt.rs.Start()
-	rt.history.Start()
-}
-
-// ListenAndServe blocks serving on cfg.Addr until Shutdown.
-func (rt *Router) ListenAndServe() error {
-	l, err := net.Listen("tcp", rt.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return rt.Serve(l)
-}
-
-// Serve blocks serving on l until Shutdown.
-func (rt *Router) Serve(l net.Listener) error {
-	err := rt.httpSrv.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
+	rt.StartRecorder()
 }
 
 // Shutdown stops accepting, waits for in-flight handlers (each bounded by
 // its own request context), and halts the prober. Backends are left
 // running — they are not the router's to stop.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	err := rt.httpSrv.Shutdown(ctx)
+	err := rt.HTTP().Shutdown(ctx)
 	rt.rs.Stop()
-	rt.history.Stop()
+	rt.StopRecorder()
 	return err
 }
 
@@ -200,82 +163,33 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 // mirrors internal/serve's v2 routes byte for byte, including the typed
 // 405/404 fallbacks, so pkg/client works unchanged against the router.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.instrument("/healthz", rt.handleHealthz))
-	mux.HandleFunc("/metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", rt.tracer.HandleTraceList)
-	mux.HandleFunc("GET /debug/traces/{id}", rt.handleDebugTrace)
-	mux.HandleFunc("GET /debug/history", rt.handleDebugHistory)
-	mux.HandleFunc("GET /debug/events", rt.handleDebugEvents)
-	rt.sloEng.Mount(mux)
-	mux.HandleFunc("GET /api/version", rt.instrument("/api/version", rt.handleVersion))
+	mux := rt.Mux([]node.Route{
+		{Pattern: "/healthz", Handle: rt.handleHealthz},
+		{Pattern: "GET /api/version", Handle: rt.handleVersion},
 
-	mux.HandleFunc("POST /v2/infer", rt.instrument("/v2/infer", rt.handleInfer))
-	mux.HandleFunc("POST /v2/subsample", rt.instrument("/v2/subsample", rt.handleSubsample))
-	mux.HandleFunc("GET /v2/models", rt.instrument("/v2/models", rt.handleListModels))
-	mux.HandleFunc("POST /v2/models", rt.instrument("/v2/models", rt.handleRegisterModel))
-	mux.HandleFunc("POST /v2/jobs", rt.instrument("/v2/jobs", rt.handleSubmitJob))
-	mux.HandleFunc("GET /v2/jobs", rt.instrument("/v2/jobs", rt.handleListJobs))
-	mux.HandleFunc("GET /v2/jobs/{id}", rt.instrument("/v2/jobs/{id}", rt.handleGetJob))
-	mux.HandleFunc("DELETE /v2/jobs/{id}", rt.instrument("/v2/jobs/{id}", rt.handleCancelJob))
-	mux.HandleFunc("GET /v2/jobs/{id}/result", rt.instrument("/v2/jobs/{id}/result", rt.handleJobResult))
-	mux.HandleFunc("GET /v2/keys/{key}", rt.instrument("/v2/keys/{key}", rt.handleGetJobByKey))
+		{Pattern: "POST /v2/infer", Handle: forward(rt, inferKey, (*client.Client).Infer)},
+		{Pattern: "POST /v2/subsample", Handle: forward(rt, subsampleKey, (*client.Client).Subsample)},
+		{Pattern: "GET /v2/models", Handle: rt.handleListModels},
+		{Pattern: "POST /v2/models", Handle: forward(rt, registerKey, (*client.Client).RegisterModel)},
+		{Pattern: "GET /v2/jobs", Handle: rt.handleListJobs},
+		{Pattern: "POST /v2/jobs", Handle: rt.handleSubmitJob},
+		{Pattern: "GET /v2/jobs/{id}", Handle: rt.handleGetJob},
+		{Pattern: "DELETE /v2/jobs/{id}", Handle: rt.handleCancelJob},
+		{Pattern: "GET /v2/jobs/{id}/result", Handle: rt.handleJobResult},
+		{Pattern: "GET /v2/keys/{key}", Handle: rt.handleGetJobByKey},
 
-	mux.HandleFunc("GET /admin/replicas", rt.instrument("/admin/replicas", rt.handleAdminListReplicas))
-	mux.HandleFunc("POST /admin/replicas", rt.instrument("/admin/replicas", rt.handleAdminJoinReplica))
-	mux.HandleFunc("DELETE /admin/replicas/{id}", rt.instrument("/admin/replicas/{id}", rt.handleAdminDrainReplica))
-
-	methodNotAllowed := func(allow string) func(http.ResponseWriter, *http.Request) error {
-		return func(w http.ResponseWriter, r *http.Request) error {
-			w.Header().Set("Allow", allow)
-			return writeAPIError(w, api.Errorf(api.CodeMethodNotAllowed, "%s only", allow))
-		}
-	}
-	mux.HandleFunc("/v2/infer", rt.instrument("/v2/infer", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/subsample", rt.instrument("/v2/subsample", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/models", rt.instrument("/v2/models", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/jobs", rt.instrument("/v2/jobs", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/keys/{key}", rt.instrument("/v2/keys/{key}", methodNotAllowed("GET")))
-	mux.HandleFunc("/v2/jobs/{id}", rt.instrument("/v2/jobs/{id}", methodNotAllowed("GET, DELETE")))
-	mux.HandleFunc("/v2/jobs/{id}/result", rt.instrument("/v2/jobs/{id}/result", methodNotAllowed("GET")))
-	mux.HandleFunc("/v2/", rt.instrument("/v2/", func(w http.ResponseWriter, r *http.Request) error {
-		return writeAPIError(w, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
-	}))
-	mux.HandleFunc("/api/version", rt.instrument("/api/version", methodNotAllowed("GET")))
-	mux.HandleFunc("/admin/replicas", rt.instrument("/admin/replicas", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/admin/replicas/{id}", rt.instrument("/admin/replicas/{id}", methodNotAllowed("DELETE")))
+		{Pattern: "GET /admin/replicas", Handle: rt.handleAdminListReplicas},
+		{Pattern: "POST /admin/replicas", Handle: rt.handleAdminJoinReplica},
+		{Pattern: "DELETE /admin/replicas/{id}", Handle: rt.handleAdminDrainReplica},
+	})
+	mux.HandleFunc("GET /debug/traces", rt.Tracer().HandleTraceList)
+	traceID := func(r *http.Request) string { return r.PathValue("id") }
+	query := func(r *http.Request) string { return r.URL.RawQuery }
+	mux.HandleFunc("GET /debug/traces/{id}", fleetDebug(rt, rt.Tracer().Answer, (*client.Client).DebugTraceJSON, traceID))
+	mux.HandleFunc("GET /debug/history", fleetDebug(rt, rt.History().Answer, (*client.Client).DebugHistoryJSON, query))
+	mux.HandleFunc("GET /debug/events", fleetDebug(rt, rt.Journal().Answer, (*client.Client).DebugEventsJSON, query))
+	rt.SLO().Mount(mux)
 	return mux
-}
-
-// instrument wraps a handler with latency/error accounting, a router span
-// (joining the caller's trace when an X-Sickle-Trace header is present,
-// minting one otherwise), and a trace-ID-stamped request log.
-func (rt *Router) instrument(route string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if tc, ok := api.ParseTraceHeader(r.Header.Get(api.TraceHeader)); ok {
-			ctx = api.WithTrace(ctx, tc)
-		}
-		ctx, span := rt.tracer.StartSpan(ctx, "router:"+route)
-		span.SetAttr("method", r.Method)
-		t0 := time.Now()
-		err := h(w, r.WithContext(ctx))
-		d := time.Since(t0)
-		rt.met.ObserveRequestEx(route, d, err != nil, span.TraceID())
-		if err != nil {
-			span.SetAttr("error", string(api.AsError(err).Code))
-		}
-		span.End()
-		if rt.logger.Enabled(olog.LevelDebug) || err != nil {
-			kv := []any{"route", route, "method", r.Method,
-				"trace", span.TraceID(), "seconds", d.Seconds()}
-			if err != nil {
-				rt.logger.Warn("request failed", append(kv, "error", err.Error())...)
-			} else {
-				rt.logger.Debug("request", kv...)
-			}
-		}
-	}
 }
 
 // ---- routing core ----
@@ -302,16 +216,16 @@ func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, 
 	if len(cands) == 0 {
 		return nil, api.Errorf(api.CodeUnavailable, "shard: no replicas configured")
 	}
-	ctx, routeSpan := rt.tracer.StartSpan(ctx, "route:"+key)
+	ctx, routeSpan := rt.Tracer().StartSpan(ctx, "route:"+key)
 	defer routeSpan.End()
 	var lastErr error
 	for i, r := range cands {
 		if i > 0 {
 			rt.met.ObserveFailover()
-			rt.journal.Emit(events.TypeFailover, "request failed over to a non-primary ring node",
+			rt.Journal().Emit(events.TypeFailover, "request failed over to a non-primary ring node",
 				routeSpan.TraceID(), "key", key, "replica", r.ID, "attempt", strconv.Itoa(i))
 		}
-		attemptCtx, attempt := rt.tracer.StartSpan(ctx, "client:"+r.ID)
+		attemptCtx, attempt := rt.Tracer().StartSpan(ctx, "client:"+r.ID)
 		attempt.SetAttr("url", r.URL)
 		if i > 0 {
 			attempt.SetAttr("failover", strconv.Itoa(i))
@@ -383,68 +297,24 @@ func (rt *Router) scatter(fn func(*Replica) error) int {
 
 // ---- keyed handlers (consistent hash + failover) ----
 
-func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) error {
-	var req api.InferRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	var resp *api.InferResponse
-	_, err := rt.route(r.Context(), req.Model, true, func(ctx context.Context, rep *Replica) error {
-		out, err := rep.C.Infer(ctx, &req)
-		if err != nil {
+// forward serves a keyed request: it routes the decoded request to the
+// key's ring owner with failover (see route; unavailable is retried, as
+// every keyed request here is idempotent — a duplicate registration is a
+// harmless hot-swap to identical weights) and answers with its reply.
+func forward[Req, Resp any](rt *Router, key func(*Req) string,
+	call func(*client.Client, context.Context, *Req) (*Resp, error)) node.HandlerFunc {
+	return node.JSON(func(ctx context.Context, req *Req) (resp *Resp, err error) {
+		_, err = rt.route(ctx, key(req), true, func(ctx context.Context, rep *Replica) (err error) {
+			resp, err = call(rep.C, ctx, req)
 			return err
-		}
-		resp = out
-		return nil
+		})
+		return resp, err
 	})
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
 }
 
-func (rt *Router) handleSubsample(w http.ResponseWriter, r *http.Request) error {
-	var req api.SubsampleRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	var resp *api.SubsampleResponse
-	_, err := rt.route(r.Context(), subsampleKey(&req), true, func(ctx context.Context, rep *Replica) error {
-		out, err := rep.C.Subsample(ctx, &req)
-		if err != nil {
-			return err
-		}
-		resp = out
-		return nil
-	})
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
+func inferKey(req *api.InferRequest) string { return req.Model }
 
-func (rt *Router) handleRegisterModel(w http.ResponseWriter, r *http.Request) error {
-	var req api.RegisterModelRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	// Registration is retried on unavailable: a duplicate registration is a
-	// harmless hot-swap to identical weights, and the infer failover order
-	// visits the same successor the retry lands on.
-	var info *api.ModelInfo
-	_, err := rt.route(r.Context(), req.Name, true, func(ctx context.Context, rep *Replica) error {
-		out, err := rep.C.RegisterModel(ctx, &req)
-		if err != nil {
-			return err
-		}
-		info = out
-		return nil
-	})
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, info)
-}
+func registerKey(req *api.RegisterModelRequest) string { return req.Name }
 
 // subsampleKey picks the routing key that keeps a dataset's LRU entry hot
 // on one replica: the shard path when set, else the dataset name.
@@ -457,11 +327,17 @@ func subsampleKey(req *api.SubsampleRequest) string {
 
 // ---- scatter-gather handlers ----
 
-func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) error {
+// catalog scatter-gathers the fleet's models (every live replica but
+// skip, which may be nil), keeping each name's newest version, and
+// reports how many replicas answered.
+func (rt *Router) catalog(ctx context.Context, skip *Replica) (map[string]api.ModelInfo, int) {
 	var mu sync.Mutex
 	merged := map[string]api.ModelInfo{}
 	ok := rt.scatter(func(rep *Replica) error {
-		models, err := rep.C.Models(r.Context())
+		if rep == skip {
+			return nil
+		}
+		models, err := rep.C.Models(ctx)
 		if err != nil {
 			return err
 		}
@@ -474,14 +350,19 @@ func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) error
 		}
 		return nil
 	})
+	return merged, ok
+}
+
+func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) error {
+	merged, ok := rt.catalog(r.Context(), nil)
 	if ok == 0 {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /v2/models"))
+		return node.WriteAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /v2/models"))
 	}
 	out := make([]api.ModelInfo, 0, len(merged))
 	for _, name := range sortedKeys(merged) {
 		out = append(out, merged[name])
 	}
-	return writeJSON(w, http.StatusOK, out)
+	return node.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) error {
@@ -498,7 +379,7 @@ func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) error {
 		return nil
 	})
 	if ok == 0 {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /api/version"))
+		return node.WriteAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /api/version"))
 	}
 	// Intersect: a version is served only if every answering replica
 	// speaks it (order kept from the first reply, oldest first).
@@ -519,7 +400,7 @@ func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) error {
 	if len(common) > 0 {
 		out.Latest = common[len(common)-1]
 	}
-	return writeJSON(w, http.StatusOK, out)
+	return node.WriteJSON(w, http.StatusOK, out)
 }
 
 // ---- job handlers (sticky job-ID -> replica) ----
@@ -635,7 +516,7 @@ func (rt *Router) resolveKey(ctx context.Context, key string, cands []*Replica, 
 		return nil, nil, false
 	}
 	tc, _ := api.TraceFrom(ctx)
-	rt.journal.Emit(events.TypeTakeover, "follower reservation activated: the primary owner did not answer",
+	rt.Journal().Emit(events.TypeTakeover, "follower reservation activated: the primary owner did not answer",
 		tc.TraceID, "replica", holder.ID, "job", job.ID, "primary", held.ReservedFor)
 	return job, holder, true
 }
@@ -771,8 +652,8 @@ func (rt *Router) answer(ctx context.Context, rep *Replica, job *api.Job, res *a
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	var req api.SubmitJobRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
+	if err := node.DecodeBody(r, &req); err != nil {
+		return node.WriteAPIError(w, err)
 	}
 	req.ReserveFor = "" // the router's to set, never the client's
 	key := submitKey(&req)
@@ -786,15 +667,15 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 			rt.rs.Sequence(key, rt.replication), nil, &req); ok {
 			rt.met.ObserveOwnerDedupHit()
 			tc, _ := api.TraceFrom(r.Context())
-			rt.journal.Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
+			rt.Journal().Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
 				tc.TraceID, "kind", "owner_set", "replica", rep.ID, "job", job.ID)
 			rt.rememberJob(job.ID, rep.ID, req.IdempotencyKey)
 			rt.met.ObserveRouted(rep.ID)
-			return writeJSON(w, http.StatusOK, rt.answer(r.Context(), rep, job, nil))
+			return node.WriteJSON(w, http.StatusOK, rt.answer(r.Context(), rep, job, nil))
 		}
 		if seen, ok := rt.seenUnreachable(r.Context(), req.IdempotencyKey); ok {
 			rt.met.ObserveOwnerDedupHit()
-			return writeJSON(w, http.StatusOK, &seen)
+			return node.WriteJSON(w, http.StatusOK, &seen)
 		}
 	}
 	// Unkeyed submissions never fail over on unavailable: the backend may
@@ -817,14 +698,14 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 			return nil
 		})
 	if err != nil {
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
 	rt.rememberJob(job.ID, rep.ID, req.IdempotencyKey)
 	if req.IdempotencyKey != "" && rt.keys != nil {
 		id := job.ID + jobIDSep + rep.ID
 		rt.keys.Submitted(&req, id, rt.reserve(r.Context(), key, &req, rep, id))
 	}
-	return writeJSON(w, http.StatusAccepted, rt.answer(r.Context(), rep, job, nil))
+	return node.WriteJSON(w, http.StatusAccepted, rt.answer(r.Context(), rep, job, nil))
 }
 
 func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
@@ -845,7 +726,7 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 		return nil
 	})
 	if ok == 0 {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /v2/jobs"))
+		return node.WriteAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /v2/jobs"))
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if !all[a].CreatedAt.Equal(all[b].CreatedAt) {
@@ -853,7 +734,7 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 		}
 		return all[a].ID < all[b].ID
 	})
-	return writeJSON(w, http.StatusOK, all)
+	return node.WriteJSON(w, http.StatusOK, all)
 }
 
 // findReplicated re-finds a keyed job on its followers after the replica
@@ -914,7 +795,7 @@ func (rt *Router) forwardJob(ctx context.Context, w http.ResponseWriter, id stri
 	call func(ctx context.Context, rep *Replica, raw string) (*api.Job, error)) error {
 	raw, rep, err := rt.jobReplica(id)
 	if err != nil {
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
 	job, err := call(ctx, rep, raw)
 	if err != nil {
@@ -923,15 +804,15 @@ func (rt *Router) forwardJob(ctx context.Context, w http.ResponseWriter, id stri
 			if copyJob, copyRep, ok := rt.findReplicated(ctx, raw, rep.ID); ok {
 				if job2, err2 := call(ctx, copyRep, copyJob.ID); err2 == nil {
 					rt.met.ObserveRouted(copyRep.ID)
-					return writeJSON(w, http.StatusOK, rt.answer(ctx, copyRep, job2, nil))
+					return node.WriteJSON(w, http.StatusOK, rt.answer(ctx, copyRep, job2, nil))
 				}
 			}
 		}
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
 	rt.rs.NoteOK(rep)
 	rt.met.ObserveRouted(rep.ID)
-	return writeJSON(w, http.StatusOK, rt.answer(ctx, rep, job, nil))
+	return node.WriteJSON(w, http.StatusOK, rt.answer(ctx, rep, job, nil))
 }
 
 func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) error {
@@ -951,7 +832,7 @@ func (rt *Router) handleCancelJob(w http.ResponseWriter, r *http.Request) error 
 func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error {
 	raw, rep, err := rt.jobReplica(r.PathValue("id"))
 	if err != nil {
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
 	key := rt.owners.Key(raw, rep.ID)
 	res, err := rep.C.JobResult(r.Context(), raw)
@@ -961,7 +842,7 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 			if copyJob, copyRep, ok := rt.findReplicated(r.Context(), raw, rep.ID); ok {
 				if res2, err2 := copyRep.C.JobResult(r.Context(), copyJob.ID); err2 == nil {
 					rt.met.ObserveRouted(copyRep.ID)
-					return writeJSON(w, http.StatusOK, res2)
+					return node.WriteJSON(w, http.StatusOK, res2)
 				}
 			}
 		}
@@ -975,7 +856,7 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 			if seen := rt.keys.Seen(key); seen.State == api.JobSucceeded {
 				res2, err2 := rt.readResult(r.Context(), seen.ID)
 				if err2 == nil {
-					return writeJSON(w, http.StatusOK, res2)
+					return node.WriteJSON(w, http.StatusOK, res2)
 				}
 				err = err2
 				if api.AsError(err2).Code != api.CodeJobNotFound {
@@ -984,7 +865,7 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 				}
 			}
 		}
-		return writeAPIError(w, err)
+		return node.WriteAPIError(w, err)
 	}
 	rt.rs.NoteOK(rep)
 	rt.met.ObserveRouted(rep.ID)
@@ -995,7 +876,7 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 			rt.answer(r.Context(), rep, job, res)
 		}
 	}
-	return writeJSON(w, http.StatusOK, res)
+	return node.WriteJSON(w, http.StatusOK, res)
 }
 
 // handleGetJobByKey mirrors the replica-side by-key lookup at fleet scope:
@@ -1004,15 +885,15 @@ func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error 
 func (rt *Router) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error {
 	key, err := url.PathUnescape(r.PathValue("key"))
 	if err != nil {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
+		return node.WriteAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
 	job, rep, ok := rt.resolveKey(r.Context(), key, rt.rs.Live(), nil, nil)
 	if !ok {
-		return writeAPIError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
+		return node.WriteAPIError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
 	}
 	rt.met.ObserveRouted(rep.ID)
 	rt.rememberJob(job.ID, rep.ID, key)
-	return writeJSON(w, http.StatusOK, rt.answer(r.Context(), rep, job, nil))
+	return node.WriteJSON(w, http.StatusOK, rt.answer(r.Context(), rep, job, nil))
 }
 
 // ---- membership admin API ----
@@ -1046,7 +927,7 @@ func (rt *Router) noteRebalance(before []string, kind, traceID string) {
 	}
 	share := float64(moved) / float64(len(before))
 	rt.met.ObserveRebalance(share)
-	rt.journal.Emit(events.TypeRebalance, "keyspace ownership rebalanced", traceID,
+	rt.Journal().Emit(events.TypeRebalance, "keyspace ownership rebalanced", traceID,
 		"kind", kind, "moved_share", strconv.FormatFloat(share, 'f', 3, 64))
 }
 
@@ -1057,7 +938,7 @@ func (rt *Router) handleAdminListReplicas(w http.ResponseWriter, _ *http.Request
 			ID: s.ID, URL: s.URL, Up: s.Up, Draining: s.Draining,
 		})
 	}
-	return writeJSON(w, http.StatusOK, out)
+	return node.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleAdminJoinReplica brings a running backend into the ring: create it
@@ -1066,35 +947,35 @@ func (rt *Router) handleAdminListReplicas(w http.ResponseWriter, _ *http.Request
 // takes keyed traffic with a cold cache.
 func (rt *Router) handleAdminJoinReplica(w http.ResponseWriter, r *http.Request) error {
 	var req api.JoinReplicaRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
+	if err := node.DecodeBody(r, &req); err != nil {
+		return node.WriteAPIError(w, err)
 	}
 	if strings.TrimSpace(req.URL) == "" {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "shard: join needs a backend url"))
+		return node.WriteAPIError(w, api.Errorf(api.CodeInvalidArgument, "shard: join needs a backend url"))
 	}
 	before := rt.sampleOwners()
 	rep, err := rt.rs.AddReplica(req.URL)
 	if err != nil {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
+		return node.WriteAPIError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
 	}
 	if _, err := rep.C.Health(r.Context()); err != nil {
 		rt.rs.RemoveReplica(rep.ID)
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable,
+		return node.WriteAPIError(w, api.Errorf(api.CodeUnavailable,
 			"shard: replica at %s failed its admission health check: %v", rep.URL, err))
 	}
 	prefetched := rt.prefetchModels(r.Context(), rep)
 	if !rt.rs.Admit(rep) {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable,
+		return node.WriteAPIError(w, api.Errorf(api.CodeUnavailable,
 			"shard: replica %s was removed before admission", rep.ID))
 	}
 	tc, _ := api.TraceFrom(r.Context())
-	rt.journal.Emit(events.TypeReplicaJoin, "replica joined the ring", tc.TraceID,
+	rt.Journal().Emit(events.TypeReplicaJoin, "replica joined the ring", tc.TraceID,
 		"replica", rep.ID, "url", rep.URL, "prefetched", strconv.Itoa(len(prefetched)))
 	rt.noteRebalance(before, "join", tc.TraceID)
 	if prefetched == nil {
 		prefetched = []string{}
 	}
-	return writeJSON(w, http.StatusOK, api.JoinReplicaResponse{
+	return node.WriteJSON(w, http.StatusOK, api.JoinReplicaResponse{
 		Replica:          api.AdminReplica{ID: rep.ID, URL: rep.URL, Up: true},
 		PrefetchedModels: prefetched,
 	})
@@ -1106,25 +987,7 @@ func (rt *Router) handleAdminJoinReplica(w http.ResponseWriter, r *http.Request)
 // Best-effort — a model whose checkpoint the newcomer cannot load is
 // skipped, not fatal (it will 404 there and fail over like today).
 func (rt *Router) prefetchModels(ctx context.Context, rep *Replica) []string {
-	var mu sync.Mutex
-	catalog := map[string]api.ModelInfo{}
-	rt.scatter(func(peer *Replica) error {
-		if peer == rep {
-			return nil
-		}
-		models, err := peer.C.Models(ctx)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for _, m := range models {
-			if have, dup := catalog[m.Name]; !dup || m.Version > have.Version {
-				catalog[m.Name] = m
-			}
-		}
-		return nil
-	})
+	catalog, _ := rt.catalog(ctx, rep)
 	var prefetched []string
 	for _, name := range sortedKeys(catalog) {
 		m := catalog[name]
@@ -1153,10 +1016,10 @@ func (rt *Router) handleAdminDrainReplica(w http.ResponseWriter, r *http.Request
 	before := rt.sampleOwners()
 	rep, ok := rt.rs.SetDraining(id)
 	if !ok {
-		return writeAPIError(w, api.Errorf(api.CodeNotFound, "shard: no replica %q", id))
+		return node.WriteAPIError(w, api.Errorf(api.CodeNotFound, "shard: no replica %q", id))
 	}
 	tc, _ := api.TraceFrom(r.Context())
-	rt.journal.Emit(events.TypeReplicaDrain, "replica draining before removal", tc.TraceID,
+	rt.Journal().Emit(events.TypeReplicaDrain, "replica draining before removal", tc.TraceID,
 		"replica", rep.ID, "url", rep.URL, "force", strconv.FormatBool(force))
 	drained := 0
 	if !force {
@@ -1164,16 +1027,16 @@ func (rt *Router) handleAdminDrainReplica(w http.ResponseWriter, r *http.Request
 		if err != nil {
 			// Left draining, off-ring: the operator can retry, wait longer,
 			// or force the removal.
-			return writeAPIError(w, err)
+			return node.WriteAPIError(w, err)
 		}
 		drained = n
 	}
 	rt.rs.RemoveReplica(rep.ID)
 	rt.owners.ForgetReplica(rep.ID)
-	rt.journal.Emit(events.TypeReplicaLeave, "replica removed from the membership", tc.TraceID,
+	rt.Journal().Emit(events.TypeReplicaLeave, "replica removed from the membership", tc.TraceID,
 		"replica", rep.ID, "url", rep.URL, "drained_jobs", strconv.Itoa(drained))
 	rt.noteRebalance(before, "leave", tc.TraceID)
-	return writeJSON(w, http.StatusOK, api.DrainReplicaResponse{
+	return node.WriteJSON(w, http.StatusOK, api.DrainReplicaResponse{
 		Replica:     api.AdminReplica{ID: rep.ID, URL: rep.URL, Up: rep.Up()},
 		DrainedJobs: drained,
 	})
@@ -1252,179 +1115,56 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 	}
 	// The router's own SLOs can degrade an otherwise-ok fleet view; a
 	// fully down fleet stays "down" (worse than degraded).
-	if h.Status == "ok" && rt.sloEng.Status() == "degraded" {
+	if h.Status == "ok" && rt.SLO().Status() == "degraded" {
 		h.Status = "degraded"
 	}
-	return writeJSON(w, http.StatusOK, h)
+	return node.WriteJSON(w, http.StatusOK, h)
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	w.Write([]byte(rt.met.Render()))
-}
-
-// handleDebugTrace merges the router's own spans for one trace with the
-// spans every live replica recorded for it, yielding the end-to-end view
-// (router, client attempts, replica server/queue/execute) in one payload.
-// Replicas that do not know the trace (or are down) are skipped; the merge
+// fleetDebug serves one /debug endpoint for the whole fleet: the
+// router's own payload, built by the component's own query parsing (so a
+// bad query is refused here exactly as a replica would refuse it), with
+// every live replica's answer to fetch(arg(request)) merged in under its
+// replica ID. A replica that lacks the item answers an error and is
+// skipped; only unreachability counts against its health. A not_found
+// own answer stands only when no replica had the item either. The merge
 // is best-effort and bounded by a short timeout.
-func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	spans := rt.tracer.Spans(id)
-
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	var mu sync.Mutex
-	rt.scatter(func(rep *Replica) error {
-		raw, err := rep.C.DebugTraceJSON(ctx, id)
-		if err != nil {
-			// A replica without the trace is not a failed replica: only
-			// transport-level unavailability should count against health.
-			if api.AsError(err).Code == api.CodeUnavailable {
-				return err
+func fleetDebug[P any, PP interface {
+	*P
+	Merge(replica string, other P)
+}](rt *Router, own func(*http.Request) (P, error),
+	fetch func(*client.Client, context.Context, string) ([]byte, error), arg func(*http.Request) string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		out, err := own(r)
+		if err != nil && api.AsError(err).Code != api.CodeNotFound {
+			obs.WriteDebug(w, nil, err)
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+		defer cancel()
+		var mu sync.Mutex
+		merged := 0
+		rt.scatter(func(rep *Replica) error {
+			raw, ferr := fetch(rep.C, ctx, arg(r))
+			if ferr != nil {
+				if api.AsError(ferr).Code == api.CodeUnavailable {
+					return ferr
+				}
+				return nil
 			}
-			return nil
-		}
-		var payload obs.TracePayload
-		if json.Unmarshal(raw, &payload) != nil {
-			return nil
-		}
-		mu.Lock()
-		spans = append(spans, payload.Spans...)
-		mu.Unlock()
-		return nil
-	})
-	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start.Before(spans[b].Start) })
-	if len(spans) == 0 {
-		writeAPIError(w, api.Errorf(api.CodeNotFound, "shard: no trace %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, obs.TracePayload{TraceID: id, Spans: spans})
-}
-
-// handleDebugHistory scatter-gathers every live replica's /debug/history
-// into one fleet-wide payload: the router's own series first, then each
-// replica's series tagged with its replica ID. The incoming query string
-// (series globs, since) is forwarded verbatim to the replicas.
-func (rt *Router) handleDebugHistory(w http.ResponseWriter, r *http.Request) {
-	var patterns []string
-	if q := r.URL.Query().Get("series"); q != "" {
-		for _, p := range strings.Split(q, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				patterns = append(patterns, p)
+			var p P
+			if json.Unmarshal(raw, &p) != nil {
+				return nil
 			}
-		}
-	}
-	since, _ := events.ParseSince(r.URL.Query().Get("since"), time.Now())
-	out := tsdb.Payload{Tier: "shard",
-		IntervalSeconds: rt.history.Interval().Seconds(),
-		Series:          rt.history.Query(patterns, since)}
-	if out.Series == nil {
-		out.Series = []tsdb.Series{}
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	query := r.URL.RawQuery
-	var mu sync.Mutex
-	rt.scatter(func(rep *Replica) error {
-		raw, err := rep.C.DebugHistoryJSON(ctx, query)
-		if err != nil {
-			if api.AsError(err).Code == api.CodeUnavailable {
-				return err
-			}
+			mu.Lock()
+			PP(&out).Merge(rep.ID, p)
+			merged++
+			mu.Unlock()
 			return nil
+		})
+		if merged > 0 {
+			err = nil
 		}
-		var payload tsdb.Payload
-		if json.Unmarshal(raw, &payload) != nil {
-			return nil
-		}
-		mu.Lock()
-		for _, s := range payload.Series {
-			s.Replica = rep.ID
-			out.Series = append(out.Series, s)
-		}
-		mu.Unlock()
-		return nil
-	})
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleDebugEvents scatter-gathers every live replica's event journal
-// and merges it with the router's own into one time-ordered payload; each
-// replica event gains a "replica" attr naming its origin. The query
-// string (limit, type, since) is forwarded verbatim.
-func (rt *Router) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	limit := 256
-	if s := r.URL.Query().Get("limit"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			limit = n
-		}
+		obs.WriteDebug(w, out, err)
 	}
-	typ := events.Type(r.URL.Query().Get("type"))
-	since, _ := events.ParseSince(r.URL.Query().Get("since"), time.Now())
-	own := rt.journal.Events(limit, typ, since)
-	dropped := rt.journal.Dropped()
-
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	query := r.URL.RawQuery
-	var mu sync.Mutex
-	lists := [][]events.Event{own}
-	rt.scatter(func(rep *Replica) error {
-		raw, err := rep.C.DebugEventsJSON(ctx, query)
-		if err != nil {
-			if api.AsError(err).Code == api.CodeUnavailable {
-				return err
-			}
-			return nil
-		}
-		var payload events.Payload
-		if json.Unmarshal(raw, &payload) != nil {
-			return nil
-		}
-		for i := range payload.Events {
-			if payload.Events[i].Attrs == nil {
-				payload.Events[i].Attrs = map[string]string{}
-			}
-			payload.Events[i].Attrs["replica"] = rep.ID
-		}
-		mu.Lock()
-		lists = append(lists, payload.Events)
-		dropped += payload.Dropped
-		mu.Unlock()
-		return nil
-	})
-	merged := events.Merge(lists...)
-	if limit > 0 && len(merged) > limit {
-		merged = merged[len(merged)-limit:]
-	}
-	if merged == nil {
-		merged = []events.Event{}
-	}
-	writeJSON(w, http.StatusOK, events.Payload{Tier: "shard", Dropped: dropped, Events: merged})
-}
-
-// ---- shared helpers (mirrors internal/serve's envelope discipline) ----
-
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "bad JSON: %v", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	return json.NewEncoder(w).Encode(v)
-}
-
-func writeAPIError(w http.ResponseWriter, err error) error {
-	ae := api.AsError(err)
-	if ae.RetryAfterSeconds > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ae.RetryAfterSeconds))
-	}
-	writeJSON(w, ae.Code.HTTPStatus(), api.ErrorEnvelope{Error: ae})
-	return ae
 }

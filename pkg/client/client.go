@@ -183,24 +183,7 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 // shard router uses this to merge replica-side spans into its own view of
 // a trace; operators can use it as a programmatic /debug/traces client.
 func (c *Client) DebugTraceJSON(ctx context.Context, traceID string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/debug/traces/"+traceID, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, api.Errorf(api.CodeUnavailable, "GET /debug/traces/%s: %v", traceID, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, api.Errorf(api.CodeUnavailable, "GET /debug/traces/%s: reading response: %v", traceID, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, api.Errorf(api.CodeFromStatus(resp.StatusCode),
-			"GET /debug/traces/%s: HTTP %d", traceID, resp.StatusCode)
-	}
-	return raw, nil
+	return c.debugJSON(ctx, "/debug/traces/"+traceID, "")
 }
 
 // doVersioned prefixes the path with the negotiated API version.
@@ -327,7 +310,11 @@ func decodeError(resp *http.Response) error {
 // debugJSON fetches one debug endpoint's raw JSON payload. Transport
 // failures surface as typed unavailable errors so the shard router's
 // scatter-gather can count them against replica health.
-func (c *Client) debugJSON(ctx context.Context, pathAndQuery string) ([]byte, error) {
+func (c *Client) debugJSON(ctx context.Context, path, query string) ([]byte, error) {
+	pathAndQuery := path
+	if query != "" {
+		pathAndQuery += "?" + query
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+pathAndQuery, nil)
 	if err != nil {
 		return nil, err
@@ -352,26 +339,18 @@ func (c *Client) debugJSON(ctx context.Context, pathAndQuery string) ([]byte, er
 // metrics history). query is the raw query string without the leading
 // "?", e.g. "series=sickle_requests_total&since=5m"; "" fetches all.
 func (c *Client) DebugHistoryJSON(ctx context.Context, query string) ([]byte, error) {
-	p := "/debug/history"
-	if query != "" {
-		p += "?" + query
-	}
-	return c.debugJSON(ctx, p)
+	return c.debugJSON(ctx, "/debug/history", query)
 }
 
 // DebugEventsJSON fetches the raw /debug/events payload (the event
 // journal tail). query is the raw query string without the leading "?",
 // e.g. "limit=64&type=ejection"; "" uses the server defaults.
 func (c *Client) DebugEventsJSON(ctx context.Context, query string) ([]byte, error) {
-	p := "/debug/events"
-	if query != "" {
-		p += "?" + query
-	}
-	return c.debugJSON(ctx, p)
+	return c.debugJSON(ctx, "/debug/events", query)
 }
 
 // DebugSLOJSON fetches the raw /debug/slo payload (the burn-rate
 // engine's current report).
 func (c *Client) DebugSLOJSON(ctx context.Context) ([]byte, error) {
-	return c.debugJSON(ctx, "/debug/slo")
+	return c.debugJSON(ctx, "/debug/slo", "")
 }
